@@ -25,7 +25,14 @@ fn bench_engine(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let mut policy = make_policy(name, &catalog);
-                black_box(run(&catalog, policy.as_mut(), &trace, &config))
+                black_box(run(
+                    &catalog,
+                    policy.as_mut(),
+                    trace.iter().copied(),
+                    trace.horizon(),
+                    &config,
+                    None,
+                ))
             })
         });
     }

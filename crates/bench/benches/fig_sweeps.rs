@@ -37,8 +37,10 @@ fn bench_sweeps(c: &mut Criterion) {
                 black_box(run(
                     &catalog,
                     policy.as_mut(),
-                    &trace,
+                    trace.iter().copied(),
+                    trace.horizon(),
                     &SimConfig::default(),
+                    None,
                 ))
             })
         });
@@ -49,7 +51,14 @@ fn bench_sweeps(c: &mut Criterion) {
         let config = SimConfig::with_memory(MemMb::from_gb(4));
         b.iter(|| {
             let mut policy = make_policy("RainbowCake", &catalog);
-            black_box(run(&catalog, policy.as_mut(), &trace, &config))
+            black_box(run(
+                &catalog,
+                policy.as_mut(),
+                trace.iter().copied(),
+                trace.horizon(),
+                &config,
+                None,
+            ))
         })
     });
 
@@ -76,7 +85,14 @@ fn bench_sweeps(c: &mut Criterion) {
         };
         b.iter(|| {
             let mut policy = make_policy("RainbowCake", &catalog);
-            black_box(run(&catalog, policy.as_mut(), &trace, &config))
+            black_box(run(
+                &catalog,
+                policy.as_mut(),
+                trace.iter().copied(),
+                trace.horizon(),
+                &config,
+                None,
+            ))
         })
     });
 

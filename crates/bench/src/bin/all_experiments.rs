@@ -153,7 +153,14 @@ fn main() {
                     let catalog = &bed.catalog;
                     move || {
                         let mut policy = rainbowcake_bench::make_policy(name, catalog);
-                        run(catalog, policy.as_mut(), trace, &SimConfig::default())
+                        run(
+                            catalog,
+                            policy.as_mut(),
+                            trace.iter().copied(),
+                            trace.horizon(),
+                            &SimConfig::default(),
+                            None,
+                        )
                     }
                 })
             })
@@ -200,11 +207,13 @@ fn main() {
     let cp = run(
         &bed.catalog,
         &mut policy,
-        &bed.trace,
+        bed.trace.iter().copied(),
+        bed.trace.horizon(),
         &SimConfig {
             checkpoint: Some(CheckpointConfig::default()),
             ..bed.config.clone()
         },
+        None,
     );
     println!(
         "  startup: {:.0}% reduction (paper: 36%), waste: {:+.0}% (paper: +15%)",

@@ -16,7 +16,14 @@ fn main() {
 
     let run_with = |config: &SimConfig| {
         let mut policy = RainbowCake::with_defaults(&bed.catalog).expect("valid");
-        run(&bed.catalog, &mut policy, &bed.trace, config)
+        run(
+            &bed.catalog,
+            &mut policy,
+            bed.trace.iter().copied(),
+            bed.trace.horizon(),
+            config,
+            None,
+        )
     };
 
     let base = run_with(&bed.config);

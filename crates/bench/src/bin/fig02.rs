@@ -42,7 +42,14 @@ fn main() {
         .collect();
     let trace = Trace::from_arrivals(Micros::from_mins(60), arrivals);
     let mut policy = NoCache;
-    let report = run(&catalog, &mut policy, &trace, &SimConfig::deterministic(1));
+    let report = run(
+        &catalog,
+        &mut policy,
+        trace.iter().copied(),
+        trace.horizon(),
+        &SimConfig::deterministic(1),
+        None,
+    );
 
     println!("Fig. 2(a): cold-start latency breakdown per stage (ms)");
     println!("Fig. 2(b): idle memory footprint per layer (MB)\n");

@@ -25,7 +25,14 @@ fn main() {
                     move || {
                         let mut policy =
                             RainbowCake::new(&bed.catalog, cfg.clone()).expect("valid config");
-                        let report = run(&bed.catalog, &mut policy, &bed.trace, &bed.config);
+                        let report = run(
+                            &bed.catalog,
+                            &mut policy,
+                            bed.trace.iter().copied(),
+                            bed.trace.horizon(),
+                            &bed.config,
+                            None,
+                        );
                         // Unified cost is always evaluated with the run's own alpha.
                         let model = CostModel::new(cfg.alpha).expect("valid alpha");
                         (

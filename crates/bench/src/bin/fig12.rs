@@ -54,7 +54,14 @@ fn main() {
                     let catalog = &catalog;
                     move || {
                         let mut policy = rainbowcake_bench::make_policy(name, catalog);
-                        rainbowcake_sim::run(catalog, policy.as_mut(), trace, &SimConfig::default())
+                        rainbowcake_sim::run(
+                            catalog,
+                            policy.as_mut(),
+                            trace.iter().copied(),
+                            trace.horizon(),
+                            &SimConfig::default(),
+                            None,
+                        )
                     }
                 })
             })
@@ -93,7 +100,14 @@ fn main() {
                     move || {
                         let mut policy = rainbowcake_bench::make_policy(name, catalog);
                         let config = SimConfig::with_memory(MemMb::from_gb(gb));
-                        rainbowcake_sim::run(catalog, policy.as_mut(), trace, &config)
+                        rainbowcake_sim::run(
+                            catalog,
+                            policy.as_mut(),
+                            trace.iter().copied(),
+                            trace.horizon(),
+                            &config,
+                            None,
+                        )
                     }
                 })
             })

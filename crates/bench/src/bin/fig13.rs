@@ -71,7 +71,14 @@ fn main() {
                         .collect();
                     let trace = Trace::from_arrivals(Micros::from_mins(5), arrivals);
                     let mut policy = RainbowCake::with_defaults(catalog).expect("valid");
-                    run(catalog, &mut policy, &trace, cfg)
+                    run(
+                        catalog,
+                        &mut policy,
+                        trace.iter().copied(),
+                        trace.horizon(),
+                        cfg,
+                        None,
+                    )
                 }
             })
             .collect(),

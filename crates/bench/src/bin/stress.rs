@@ -1,8 +1,8 @@
 //! Million-invocation stress run: drives a large synthesized
 //! multi-worker trace through all six §7.1 policies and records engine
 //! throughput plus per-policy peak-memory growth into the
-//! `BENCH_<seq>.json` artifact series (schema `rainbowcake-stress/5`;
-//! `/1`–`/4` artifacts are still readable as perf baselines).
+//! `BENCH_<seq>.json` artifact series (schema `rainbowcake-stress/6`;
+//! `/1`–`/5` artifacts are still readable as perf baselines).
 //!
 //! Schema `/4` additions: every policy row carries the History
 //! Recorder's query counters (`history`: rate queries, compound-scope
@@ -12,13 +12,16 @@
 //! 10^8 invocations to prove the streaming pipeline's memory stays
 //! flat (bounded by channel depth, not trace length) at full speed.
 //!
-//! Schema `/5` additions: the artifact records the timer mode
-//! (`timer_mode`: `"lazy"` — the default single-terminal-timer ladder
-//! schedule — or `"eager"` under `--eager-timers`, the per-rung chain),
-//! and every policy row carries `events` (total engine events
-//! dispatched, counted by the shards with zero clock reads) and
-//! `events_per_invocation` — the timer-pressure figure the lazy
-//! downgrade path exists to shrink.
+//! Schema `/5` additions: every policy row carries `events` (total
+//! engine events dispatched, counted by the shards with zero clock
+//! reads) and `events_per_invocation` — the timer-pressure figure the
+//! lazy downgrade path exists to shrink.
+//!
+//! Schema `/6` drops `/5`'s `timer_mode` (the lazy ladder schedule is
+//! the only one) and renames the throughput keys after what they count,
+//! completed invocations per second: `events_per_s` became
+//! `invocations_per_s` and `calibrated_events_per_s` became
+//! `calibrated_invocations_per_s`.
 //!
 //! The trace is never materialized: each policy run consumes the
 //! Azure-like workload from its compact per-minute series through
@@ -41,29 +44,26 @@
 //!   `BENCH_<seq>.json` series stays full-suite comparable;
 //! * `--profile` — per-event-kind dispatch breakdown through the
 //!   profiled materialized pipeline (skips the artifact write);
-//! * `--eager-timers` — run with the eager per-rung downgrade timer
-//!   chain instead of the default lazy terminal-timer schedule; the
-//!   reports are byte-identical, only event counts and throughput move
-//!   (`--smoke` asserts the cross-mode identity explicitly);
 //! * `--identity` — assert the sharded streaming report is
 //!   byte-identical to the sequential materialized pipeline on the full
 //!   configured trace, then exit;
-//! * `--smoke` — the CI guard: a one-hour trace through every dispatch
-//!   mode and both cluster pipelines with byte-identity asserts, then
-//!   per-policy throughput floors against the committed artifact.
+//! * `--smoke` — the CI guard: a one-hour trace through the sequential,
+//!   parallel and profiled runs and both cluster pipelines with
+//!   byte-identity asserts, then per-policy throughput floors against
+//!   the committed artifact.
 //!   With `--hours H` (H > 1) it becomes the long-stream smoke
 //!   instead: stream an H-hour trace through RainbowCake and assert
 //!   the process RSS stays flat — the guard for the streaming
 //!   pipeline's O(1)-memory claim (`--smoke --hours 96` in CI).
 //!
-//! Besides wall-clock `events_per_s`, every row records
-//! `calibrated_events_per_s` = completed / max(router CPU s, slowest
-//! shard CPU s): the throughput the pipeline sustains once every shard
-//! thread has a core of its own. On a machine with >= shards cores the
-//! two numbers converge; on the 1-core CI box the wall figure
-//! time-slices all shards onto one core and the calibrated figure is
-//! the honest scaling signal (same convention as the busy-time
-//! calibration in EXPERIMENTS.md).
+//! Besides the measured wall-clock `invocations_per_s`, every row
+//! records the derived `calibrated_invocations_per_s` = completed /
+//! max(router CPU s, slowest shard CPU s): the throughput the pipeline
+//! would sustain once every shard thread has a core of its own. On a
+//! machine with >= shards cores the two numbers converge; on a 1-core
+//! box the wall figure time-slices all shards onto one core and the
+//! calibrated figure is the scaling signal (same convention as the
+//! busy-time calibration in EXPERIMENTS.md).
 
 use std::time::Instant as WallInstant;
 
@@ -75,7 +75,7 @@ use rainbowcake_metrics::RunReport;
 use rainbowcake_sim::cluster::{
     route_trace, run_cluster, run_cluster_streaming, LocalitySharingLoad, ShardedRun,
 };
-use rainbowcake_sim::{run, run_with_profile, EngineProfile, SimConfig, TimerMode};
+use rainbowcake_sim::{run, EngineProfile, SimConfig};
 use rainbowcake_trace::azure::{azure_like_stream, azure_like_trace, AzureConfig, AzureStream};
 use rainbowcake_trace::Trace;
 use rainbowcake_workloads::paper_catalog;
@@ -143,45 +143,32 @@ fn run_policy_sequential(
 }
 
 /// Executes `policy` over every sub-trace, fanned out over `threads`
-/// (0 = sequential on the calling thread).
+/// (0 = sequential on the calling thread). With `profile`, every
+/// worker's dispatch profile is merged into it.
 fn run_policy(
     catalog: &Catalog,
     name: &str,
     subs: &[Trace],
     config: &SimConfig,
     threads: usize,
+    mut profile: Option<&mut EngineProfile>,
 ) -> Vec<RunReport> {
+    let profiled = profile.is_some();
     let jobs: Vec<_> = subs
         .iter()
         .map(|sub| {
             move || {
                 let mut policy = make_policy(name, catalog);
-                run(catalog, policy.as_mut(), sub, config)
-            }
-        })
-        .collect();
-    if threads == 0 {
-        jobs.into_iter().map(|j| j()).collect()
-    } else {
-        parallel::run_jobs_on(threads, jobs)
-    }
-}
-
-/// Like [`run_policy`], but through the profiled dispatch loop; the
-/// per-worker profiles are merged into one suite-wide breakdown.
-fn run_policy_profiled(
-    catalog: &Catalog,
-    name: &str,
-    subs: &[Trace],
-    config: &SimConfig,
-    threads: usize,
-) -> (Vec<RunReport>, EngineProfile) {
-    let jobs: Vec<_> = subs
-        .iter()
-        .map(|sub| {
-            move || {
-                let mut policy = make_policy(name, catalog);
-                run_with_profile(catalog, policy.as_mut(), sub, config)
+                let mut worker = EngineProfile::default();
+                let report = run(
+                    catalog,
+                    policy.as_mut(),
+                    sub.iter().copied(),
+                    sub.horizon(),
+                    config,
+                    profiled.then_some(&mut worker),
+                );
+                (report, worker)
             }
         })
         .collect();
@@ -190,13 +177,15 @@ fn run_policy_profiled(
     } else {
         parallel::run_jobs_on(threads, jobs)
     };
-    let mut merged = EngineProfile::default();
-    let mut reports = Vec::with_capacity(pairs.len());
-    for (report, profile) in pairs {
-        merged.merge(&profile);
-        reports.push(report);
-    }
-    (reports, merged)
+    pairs
+        .into_iter()
+        .map(|(report, worker)| {
+            if let Some(total) = profile.as_deref_mut() {
+                total.merge(&worker);
+            }
+            report
+        })
+        .collect()
 }
 
 /// Prints the per-event-kind dispatch breakdown of a profiled run.
@@ -223,9 +212,10 @@ fn print_profile(name: &str, profile: &EngineProfile) {
     }
 }
 
-/// Per-policy events/s from the newest `BENCH_<seq>.json` artifact in
-/// `dir` carrying the stress schema, if any.
-fn baseline_events_per_s(dir: &str) -> Option<(String, Vec<(String, f64)>)> {
+/// Per-policy wall-clock invocations/s from the newest
+/// `BENCH_<seq>.json` artifact in `dir` carrying the stress schema, if
+/// any.
+fn baseline_invocations_per_s(dir: &str) -> Option<(String, Vec<(String, f64)>)> {
     let existing: Vec<String> = (1..10_000)
         .map(|i| format!("{dir}/BENCH_{i:04}.json"))
         .filter(|p| std::path::Path::new(p).exists())
@@ -234,25 +224,7 @@ fn baseline_events_per_s(dir: &str) -> Option<(String, Vec<(String, f64)>)> {
         let Ok(text) = std::fs::read_to_string(&path) else {
             continue;
         };
-        let known_schema =
-            (1..=5).any(|v| text.contains(&format!("\"schema\":\"rainbowcake-stress/{v}\"")));
-        if !known_schema {
-            continue;
-        }
-        let mut rows = Vec::new();
-        for chunk in text.split("{\"name\":\"").skip(1) {
-            let Some(name) = chunk.split('"').next() else {
-                continue;
-            };
-            let eps = chunk
-                .split("\"events_per_s\":")
-                .nth(1)
-                .and_then(|rest| rest.split([',', '}']).next())
-                .and_then(|num| num.trim().parse::<f64>().ok());
-            if let Some(eps) = eps {
-                rows.push((name.to_string(), eps));
-            }
-        }
+        let rows = artifact_invocations_per_s(&text);
         if !rows.is_empty() {
             return Some((path, rows));
         }
@@ -260,7 +232,38 @@ fn baseline_events_per_s(dir: &str) -> Option<(String, Vec<(String, f64)>)> {
     None
 }
 
-/// Fraction of a policy's recorded events/s it must reach in the CI
+/// The `(policy, wall-clock invocations/s)` rows of one stress artifact;
+/// empty unless it carries schema `rainbowcake-stress/1` to `/6`.
+/// Schemas `/1`–`/5` recorded the same figure as `events_per_s`.
+fn artifact_invocations_per_s(text: &str) -> Vec<(String, f64)> {
+    let Some(version) =
+        (1..=6).find(|v| text.contains(&format!("\"schema\":\"rainbowcake-stress/{v}\"")))
+    else {
+        return Vec::new();
+    };
+    let key = if version <= 5 {
+        "\"events_per_s\":"
+    } else {
+        "\"invocations_per_s\":"
+    };
+    text.split("{\"name\":\"")
+        .skip(1)
+        .filter_map(|chunk| {
+            let name = chunk.split('"').next()?;
+            let ips = chunk
+                .split(key)
+                .nth(1)?
+                .split([',', '}'])
+                .next()?
+                .trim()
+                .parse::<f64>()
+                .ok()?;
+            Some((name.to_string(), ips))
+        })
+        .collect()
+}
+
+/// Fraction of a policy's recorded invocations/s it must reach in the CI
 /// perf smoke. Applied per policy, so a regression localized to one
 /// backend (e.g. only RainbowCake's layer-scoring path) trips CI even
 /// when the cheap baselines still sail past a shared floor.
@@ -268,13 +271,13 @@ const PERF_FLOOR_RATIO: f64 = 0.6;
 
 /// Per-policy throughput floors against the committed stress artifact:
 /// every policy must reach [`PERF_FLOOR_RATIO`] of its recorded
-/// events/s on a scaled-down trace, so a future change can't silently
+/// invocations/s on a scaled-down trace, so a future change can't silently
 /// re-quadratify the eviction path without tripping CI. All violations
 /// are collected and reported together before failing.
 fn perf_smoke(shards: usize) {
     let dir = std::env::var("PERF_BASELINE_DIR").unwrap_or_else(|_| ".".to_string());
-    let Some((path, baseline)) = baseline_events_per_s(&dir) else {
-        println!("perf smoke: no rainbowcake-stress/{{1..5}} artifact found, skipping");
+    let Some((path, baseline)) = baseline_invocations_per_s(&dir) else {
+        println!("perf smoke: no rainbowcake-stress/{{1..6}} artifact found, skipping");
         return;
     };
     if cfg!(debug_assertions) {
@@ -294,11 +297,10 @@ fn perf_smoke(shards: usize) {
     );
     let config = SimConfig {
         streaming_metrics: true,
-        timer_mode: timer_mode_flag(),
         ..SimConfig::default()
     };
     let mut violations = Vec::new();
-    for (name, base_eps) in &baseline {
+    for (name, base_ips) in &baseline {
         // Best of two: absorbs one-off cache/alloc warmup noise.
         let mut best = 0.0f64;
         for _ in 0..2 {
@@ -307,14 +309,14 @@ fn perf_smoke(shards: usize) {
             let completed = sharded.report.completed();
             best = best.max(completed as f64 / t0.elapsed().as_secs_f64());
         }
-        let floor = PERF_FLOOR_RATIO * base_eps;
+        let floor = PERF_FLOOR_RATIO * base_ips;
         if best < floor {
             violations.push(format!(
-                "{name}: {best:.0} events/s is below its floor {floor:.0} \
-                 ({PERF_FLOOR_RATIO} x the recorded {base_eps:.0})"
+                "{name}: {best:.0} invocations/s is below its floor {floor:.0} \
+                 ({PERF_FLOOR_RATIO} x the recorded {base_ips:.0})"
             ));
         }
-        println!("perf smoke {name}: {best:.0} events/s (floor {floor:.0})");
+        println!("perf smoke {name}: {best:.0} invocations/s (floor {floor:.0})");
     }
     assert!(
         violations.is_empty(),
@@ -346,7 +348,6 @@ fn long_stream_smoke(hours: u64, shards: usize) {
     );
     let config = SimConfig {
         streaming_metrics: true,
-        timer_mode: timer_mode_flag(),
         ..SimConfig::default()
     };
     let before_kb = peak_rss_kb();
@@ -383,37 +384,26 @@ fn smoke(profiling: bool, shards: usize) {
     let subs = route_trace(&catalog, &trace, DEFAULT_SHARDS, &mut router);
     let config = SimConfig {
         streaming_metrics: true,
-        timer_mode: timer_mode_flag(),
         ..SimConfig::default()
     };
-    let per_event = SimConfig {
-        dispatch: rainbowcake_sim::DispatchMode::PerEvent,
-        ..config.clone()
-    };
     for name in BASELINE_NAMES {
-        let sequential: Vec<String> = run_policy(&catalog, name, &subs, &config, 0)
+        let sequential: Vec<String> = run_policy(&catalog, name, &subs, &config, 0, None)
             .iter()
             .map(|r| r.to_json())
             .collect();
         for threads in [2, 4] {
-            let parallel_json: Vec<String> = run_policy(&catalog, name, &subs, &config, threads)
-                .iter()
-                .map(|r| r.to_json())
-                .collect();
+            let parallel_json: Vec<String> =
+                run_policy(&catalog, name, &subs, &config, threads, None)
+                    .iter()
+                    .map(|r| r.to_json())
+                    .collect();
             assert_eq!(
                 parallel_json, sequential,
                 "{name}: parallel ({threads} threads) diverged from sequential"
             );
         }
-        let per_event_json: Vec<String> = run_policy(&catalog, name, &subs, &per_event, 0)
-            .iter()
-            .map(|r| r.to_json())
-            .collect();
-        assert_eq!(
-            per_event_json, sequential,
-            "{name}: per-event dispatch diverged from tick-batched"
-        );
-        let (reports, profile) = run_policy_profiled(&catalog, name, &subs, &config, 2);
+        let mut profile = EngineProfile::default();
+        let reports = run_policy(&catalog, name, &subs, &config, 2, Some(&mut profile));
         let completed: usize = reports.iter().map(|r| r.invocations()).sum();
         assert!(completed > 0, "{name} completed nothing");
         assert!(
@@ -439,38 +429,10 @@ fn smoke(profiling: bool, shards: usize) {
                 "{name}: {n}-shard streaming cluster diverged from sequential"
             );
         }
-        // The lazy terminal-timer schedule and the eager per-rung chain
-        // must agree byte-for-byte through the very pipeline the stress
-        // artifact measures — and lazy must never dispatch more events.
-        let lazy_cfg = SimConfig {
-            timer_mode: TimerMode::Lazy,
-            ..config.clone()
-        };
-        let eager_cfg = SimConfig {
-            timer_mode: TimerMode::Eager,
-            ..config.clone()
-        };
-        let lazy_run = run_policy_sharded(&catalog, name, &stream, shards, &lazy_cfg);
-        let eager_run = run_policy_sharded(&catalog, name, &stream, shards, &eager_cfg);
-        assert_eq!(
-            lazy_run.report.to_json(),
-            eager_run.report.to_json(),
-            "{name}: lazy timer schedule diverged from the eager chain"
-        );
-        let (lazy_epi, eager_epi) = (
-            lazy_run.profile().events_per_invocation(),
-            eager_run.profile().events_per_invocation(),
-        );
-        assert!(
-            lazy_run.profile().total_events() <= eager_run.profile().total_events(),
-            "{name}: lazy timers dispatched more events ({} > {})",
-            lazy_run.profile().total_events(),
-            eager_run.profile().total_events(),
-        );
         println!(
-            "smoke {name}: {completed} invocations; parallel, per-event, profiled \
-             and sharded ({counts:?}) dispatch all byte-identical; \
-             lazy {lazy_epi:.2} vs eager {eager_epi:.2} events/invocation"
+            "smoke {name}: {completed} invocations; parallel, profiled and sharded \
+             ({counts:?}) runs all byte-identical; {:.2} events/invocation",
+            profile.events_per_invocation()
         );
         if profiling {
             print_profile(name, &profile);
@@ -485,7 +447,6 @@ fn smoke(profiling: bool, shards: usize) {
 fn identity(catalog: &Catalog, selected: &[&str], stream: &AzureStream, shards: usize) {
     let config = SimConfig {
         streaming_metrics: true,
-        timer_mode: timer_mode_flag(),
         ..SimConfig::default()
     };
     for name in selected {
@@ -547,17 +508,6 @@ fn policy_filter() -> Vec<&'static str> {
     }
 }
 
-/// The timer mode selected on the command line: lazy (the default
-/// single-terminal-timer ladder schedule) or the eager per-rung chain
-/// under `--eager-timers`.
-fn timer_mode_flag() -> TimerMode {
-    if std::env::args().any(|a| a == "--eager-timers") {
-        TimerMode::Eager
-    } else {
-        TimerMode::Lazy
-    }
-}
-
 /// Parses `--<flag> <v>` / `--<flag>=<v>` as a number, or `default`.
 ///
 /// # Panics
@@ -587,8 +537,10 @@ struct PolicyRow {
     completed: usize,
     cold: usize,
     wall_s: f64,
-    events_per_s: f64,
-    calibrated_events_per_s: f64,
+    /// Completed invocations per wall-clock second (measured).
+    invocations_per_s: f64,
+    /// Completed invocations per critical-path CPU second (derived).
+    calibrated_invocations_per_s: f64,
     route_s: f64,
     merge_s: f64,
     shard_cpu_s: Vec<f64>,
@@ -618,15 +570,15 @@ impl PolicyRow {
         let cpus: Vec<String> = self.shard_cpu_s.iter().map(|&c| fmt_f64(c)).collect();
         format!(
             "{{\"name\":{},\"completed\":{},\"cold_starts\":{},\"wall_s\":{},\
-             \"events_per_s\":{},\"calibrated_events_per_s\":{},\"route_s\":{},\
+             \"invocations_per_s\":{},\"calibrated_invocations_per_s\":{},\"route_s\":{},\
              \"merge_s\":{},\"shard_cpu_s\":[{}],\"rss_delta_kb\":{},\"history\":{},\
              \"events\":{},\"events_per_invocation\":{}}}",
             escape_str(self.name),
             self.completed,
             self.cold,
             fmt_f64(self.wall_s),
-            fmt_f64(self.events_per_s),
-            fmt_f64(self.calibrated_events_per_s),
+            fmt_f64(self.invocations_per_s),
+            fmt_f64(self.calibrated_invocations_per_s),
             fmt_f64(self.route_s),
             fmt_f64(self.merge_s),
             cpus.join(","),
@@ -681,8 +633,8 @@ fn measure_policy(
         completed,
         cold,
         wall_s,
-        events_per_s: completed as f64 / wall_s,
-        calibrated_events_per_s: completed as f64 / critical.max(1e-9),
+        invocations_per_s: completed as f64 / wall_s,
+        calibrated_invocations_per_s: completed as f64 / critical.max(1e-9),
         route_s: sharded.route_s,
         merge_s,
         shard_cpu_s: sharded.shard_cpu_s,
@@ -730,13 +682,9 @@ fn main() {
         identity(&catalog, &selected, &stream, shards);
         return;
     }
-    let timers = timer_mode_flag();
-    println!(
-        "stress: {total} invocations, streaming across {shards} shards ({timers:?} timers) ..."
-    );
+    println!("stress: {total} invocations, streaming across {shards} shards ...");
     let config = SimConfig {
         streaming_metrics: true,
-        timer_mode: timers,
         ..SimConfig::default()
     };
 
@@ -749,7 +697,8 @@ fn main() {
         let threads = parallel::worker_threads().max(2);
         for name in selected {
             let t0 = WallInstant::now();
-            let (reports, profile) = run_policy_profiled(&catalog, name, &subs, &config, threads);
+            let mut profile = EngineProfile::default();
+            let reports = run_policy(&catalog, name, &subs, &config, threads, Some(&mut profile));
             let wall = t0.elapsed().as_secs_f64();
             let completed: usize = reports.iter().map(|r| r.invocations()).sum();
             println!(
@@ -777,8 +726,8 @@ fn main() {
              merge {:.3} s, +{} kB peak RSS",
             row.completed,
             row.wall_s,
-            row.events_per_s,
-            row.calibrated_events_per_s,
+            row.invocations_per_s,
+            row.calibrated_invocations_per_s,
             row.cold,
             row.events,
             row.events_per_invocation,
@@ -818,9 +767,9 @@ fn main() {
         println!(
             "  scaling RainbowCake: 1 shard {:.0} inv/s calibrated, {shards} shards \
              {:.0} inv/s calibrated ({:.2}x)",
-            one.calibrated_events_per_s,
-            many.calibrated_events_per_s,
-            many.calibrated_events_per_s / one.calibrated_events_per_s
+            one.calibrated_invocations_per_s,
+            many.calibrated_invocations_per_s,
+            many.calibrated_invocations_per_s / one.calibrated_invocations_per_s
         );
         // Streaming-scale evidence: push the same pipeline past 10^8
         // invocations (RainbowCake only) and record that peak RSS stays
@@ -855,8 +804,8 @@ fn main() {
             "  scaling RainbowCake streaming: {} invocations at {:.0} inv/s wall \
              ({:.0} calibrated), peak RSS {} MB",
             mega.completed,
-            mega.events_per_s,
-            mega.calibrated_events_per_s,
+            mega.invocations_per_s,
+            mega.calibrated_invocations_per_s,
             mega_rss / 1024
         );
         assert!(
@@ -867,22 +816,23 @@ fn main() {
         format!(
             ",\"scaling\":{{\"policy\":\"RainbowCake\",\"points\":[{},{}],\
              \"streaming\":{{\"shards\":{shards},\"invocations\":{},\
-             \"rate_scale\":{},\"events_per_s\":{},\"calibrated_events_per_s\":{},\
+             \"rate_scale\":{},\"invocations_per_s\":{},\"calibrated_invocations_per_s\":{},\
              \"peak_rss_kb\":{}}}}}",
             format_args!(
-                "{{\"shards\":1,\"events_per_s\":{},\"calibrated_events_per_s\":{}}}",
-                fmt_f64(one.events_per_s),
-                fmt_f64(one.calibrated_events_per_s)
+                "{{\"shards\":1,\"invocations_per_s\":{},\"calibrated_invocations_per_s\":{}}}",
+                fmt_f64(one.invocations_per_s),
+                fmt_f64(one.calibrated_invocations_per_s)
             ),
             format_args!(
-                "{{\"shards\":{shards},\"events_per_s\":{},\"calibrated_events_per_s\":{}}}",
-                fmt_f64(many.events_per_s),
-                fmt_f64(many.calibrated_events_per_s)
+                "{{\"shards\":{shards},\"invocations_per_s\":{},\
+                 \"calibrated_invocations_per_s\":{}}}",
+                fmt_f64(many.invocations_per_s),
+                fmt_f64(many.calibrated_invocations_per_s)
             ),
             mega.completed,
             fmt_f64(mega_azure.rate_scale),
-            fmt_f64(mega.events_per_s),
-            fmt_f64(mega.calibrated_events_per_s),
+            fmt_f64(mega.invocations_per_s),
+            fmt_f64(mega.calibrated_invocations_per_s),
             mega_rss,
         )
     } else {
@@ -891,16 +841,12 @@ fn main() {
 
     let row_json: Vec<String> = rows.iter().map(|r| r.to_json()).collect();
     let json = format!(
-        "{{\"schema\":\"rainbowcake-stress/5\",\"shards\":{shards},\
-         \"hours\":{},\"rate_scale\":{},\"timer_mode\":\"{}\",\
+        "{{\"schema\":\"rainbowcake-stress/6\",\"shards\":{shards},\
+         \"hours\":{},\"rate_scale\":{},\
          \"invocations\":{total},\"router\":\"Locality+Sharing+Load\",\
          \"peak_rss_kb\":{}{scaling},\"policies\":[{}]}}\n",
         azure.hours,
         fmt_f64(azure.rate_scale),
-        match timers {
-            TimerMode::Lazy => "lazy",
-            TimerMode::Eager => "eager",
-        },
         peak_rss_kb(),
         row_json.join(","),
     );
@@ -912,4 +858,27 @@ fn main() {
         .expect("fewer than 10000 baselines");
     std::fs::write(&path, json).expect("write stress artifact");
     println!("wrote {path} (peak RSS {} MB)", peak_rss_kb() / 1024);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn baseline_rows_read_the_key_of_their_schema() {
+        let v5 = "{\"schema\":\"rainbowcake-stress/5\",\"policies\":[{\"name\":\"OpenWhisk\",\
+                  \"events_per_s\":500.5,\"calibrated_events_per_s\":900.0}]}";
+        assert_eq!(
+            artifact_invocations_per_s(v5),
+            vec![("OpenWhisk".to_string(), 500.5)]
+        );
+        let v6 = "{\"schema\":\"rainbowcake-stress/6\",\"policies\":[{\"name\":\"SEUSS\",\
+                  \"invocations_per_s\":42,\"calibrated_invocations_per_s\":99}]}";
+        assert_eq!(
+            artifact_invocations_per_s(v6),
+            vec![("SEUSS".to_string(), 42.0)]
+        );
+        let unknown = v6.replace("stress/6", "stress/7");
+        assert!(artifact_invocations_per_s(&unknown).is_empty());
+    }
 }

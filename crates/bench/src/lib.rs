@@ -7,7 +7,7 @@
 //! throughput.
 //!
 //! Independent experiment runs fan out across threads through
-//! [`parallel`]; `bin/perf_baseline` writes the machine-readable
+//! [`parallel`]; `bin/stress` writes the machine-readable
 //! `BENCH_*.json` performance artifact.
 
 #![forbid(unsafe_code)]

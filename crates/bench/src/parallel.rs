@@ -119,7 +119,14 @@ pub fn run_experiments(
                 let (name, config) = (*name, config.clone());
                 move || {
                     let mut policy = make_policy(name, catalog);
-                    run(catalog, policy.as_mut(), trace, &config)
+                    run(
+                        catalog,
+                        policy.as_mut(),
+                        trace.iter().copied(),
+                        trace.horizon(),
+                        &config,
+                        None,
+                    )
                 }
             })
             .collect(),
@@ -140,7 +147,14 @@ pub fn run_policies(
             .map(|&name| {
                 move || {
                     let mut policy = make_policy(name, catalog);
-                    run(catalog, policy.as_mut(), trace, config)
+                    run(
+                        catalog,
+                        policy.as_mut(),
+                        trace.iter().copied(),
+                        trace.horizon(),
+                        config,
+                        None,
+                    )
                 }
             })
             .collect(),

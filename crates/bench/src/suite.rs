@@ -104,7 +104,14 @@ impl Testbed {
     /// Runs one named policy on this testbed.
     pub fn run(&self, name: &str) -> RunReport {
         let mut policy = make_policy(name, &self.catalog);
-        run(&self.catalog, policy.as_mut(), &self.trace, &self.config)
+        run(
+            &self.catalog,
+            policy.as_mut(),
+            self.trace.iter().copied(),
+            self.trace.horizon(),
+            &self.config,
+            None,
+        )
     }
 
     /// Runs all six §7.1 policies, fanned out across threads; reports

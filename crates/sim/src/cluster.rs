@@ -41,7 +41,7 @@ use rainbowcake_metrics::{RunReport, StreamingSummary, WasteTracker};
 use rainbowcake_trace::{Arrival, Trace};
 
 use crate::config::SimConfig;
-use crate::engine::{run, run_streaming_counted, EngineProfile};
+use crate::engine::{run, EngineProfile};
 
 /// Identifies a worker node in the cluster.
 pub type WorkerId = usize;
@@ -417,9 +417,9 @@ pub struct ShardedRun {
     /// recorder.
     pub shard_history: Vec<HistoryStats>,
     /// Per-shard counts-only engine profiles
-    /// ([`crate::engine::run_streaming_counted`]): event counts per
-    /// kind and completed invocations, with handler timing left zero so
-    /// the shard hot loops stay free of clock reads.
+    /// ([`EngineProfile::counting`]): event counts per kind and
+    /// completed invocations, with handler timing left zero so the shard
+    /// hot loops stay free of clock reads.
     pub shard_profiles: Vec<EngineProfile>,
 }
 
@@ -447,9 +447,8 @@ impl ShardedRun {
 /// Runs a cluster as a streaming sharded pipeline: the calling thread
 /// routes arrivals online (exactly like [`route_trace`]) and feeds each
 /// worker's subsequence over a bounded channel to a dedicated OS thread
-/// running that worker's engine via [`run_streaming_counted`] (the
-/// counts-only profiled loop: identical behaviour to plain streaming,
-/// plus per-kind event counts with no clock reads).
+/// running that worker's engine via [`run`] with a counts-only
+/// [`EngineProfile`] (per-kind event counts, no clock reads).
 ///
 /// Compared to [`run_cluster`] this (a) executes the workers
 /// concurrently and (b) never materializes per-worker arrival vectors —
@@ -459,9 +458,8 @@ impl ShardedRun {
 ///
 /// * the router sees arrivals in the same order with the same views, so
 ///   the assignment is identical;
-/// * each worker receives its assigned subsequence in sorted order, and
-///   streaming execution on that stream is byte-identical to [`run`] on
-///   the materialized sub-trace;
+/// * each worker's engine receives its assigned subsequence in sorted
+///   order — exactly the sub-trace the sequential reference runs;
 /// * per-worker reports are collected by worker index, not completion
 ///   order, so the report (and any [`ClusterReport::merged`] reduction)
 ///   is deterministic.
@@ -508,12 +506,14 @@ pub fn run_cluster_streaming(
                 let mut policy = make_policy();
                 let started = std::time::Instant::now();
                 let cpu_started = thread_cpu_s();
-                let (report, profile) = run_streaming_counted(
+                let mut profile = EngineProfile::counting();
+                let report = run(
                     catalog,
                     policy.as_mut(),
                     rx.into_iter().flatten(),
                     horizon,
                     per_worker,
+                    Some(&mut profile),
                 );
                 let busy = started.elapsed().as_secs_f64();
                 let cpu = thread_cpu_since(cpu_started).unwrap_or(busy);
@@ -627,7 +627,14 @@ pub fn run_cluster(
         .into_iter()
         .map(|sub_trace| {
             let mut policy = make_policy();
-            run(catalog, policy.as_mut(), &sub_trace, per_worker)
+            run(
+                catalog,
+                policy.as_mut(),
+                sub_trace.iter().copied(),
+                sub_trace.horizon(),
+                per_worker,
+                None,
+            )
         })
         .collect();
     ClusterReport {

@@ -4,42 +4,6 @@
 use rainbowcake_core::mem::MemMb;
 use rainbowcake_core::time::Micros;
 
-use crate::event::QueueKind;
-
-/// How the engine drains the future-event list. Both modes produce
-/// byte-identical simulations (proven by `tests/event_core_identity.rs`);
-/// tick batching only changes how often the dispatch loop touches the
-/// queue, not the order events are handled in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Drain all events sharing a timestamp in one queue operation and
-    /// dispatch them in grouped runs (the default).
-    #[default]
-    TickBatched,
-    /// Pop and dispatch one event at a time — the original loop, kept
-    /// as the behavioural reference.
-    PerEvent,
-}
-
-/// How the engine turns a policy's [`TtlLadder`] into timer events.
-/// Both modes produce byte-identical simulations (the eager chain is
-/// the oracle `tests/event_core_identity.rs` pins the lazy path
-/// against); they differ only in event multiplicity.
-///
-/// [`TtlLadder`]: rainbowcake_core::policy::TtlLadder
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimerMode {
-    /// One terminal `IdleTimeout` per idle period at the ladder's final
-    /// expiry; intermediate downgrades are settled lazily from the
-    /// ladder at the next dispatched tick (the default).
-    #[default]
-    Lazy,
-    /// One `IdleTimeout` per ladder rung, re-armed as each fires — the
-    /// classic chain, kept as the behavioural reference (`stress
-    /// --eager-timers`).
-    Eager,
-}
-
 /// The checkpoint/restore extension (§7.8, CRIU through the Docker
 /// checkpoint API in the paper's prototype).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,15 +55,6 @@ pub struct SimConfig {
     pub transition_jitter: f64,
     /// Optional checkpoint/restore support (§7.8).
     pub checkpoint: Option<CheckpointConfig>,
-    /// Future-event-list backend. Both produce identical simulations;
-    /// the binary heap is kept as the reference for equivalence tests.
-    pub event_queue: QueueKind,
-    /// Event dispatch strategy. Both modes produce identical
-    /// simulations; per-event dispatch is kept as the reference.
-    pub dispatch: DispatchMode,
-    /// How ladder keep-alive schedules become timer events. Both modes
-    /// produce identical simulations; the eager chain is the reference.
-    pub timer_mode: TimerMode,
     /// Aggregate invocation metrics on the fly (bounded memory) instead
     /// of keeping every record. Per-record outputs (fig binaries, JSON
     /// byte-identity) need the default exact path.
@@ -117,9 +72,6 @@ impl Default for SimConfig {
             contention_coeff: 0.6,
             transition_jitter: 0.15,
             checkpoint: None,
-            event_queue: QueueKind::TimerWheel,
-            dispatch: DispatchMode::TickBatched,
-            timer_mode: TimerMode::default(),
             streaming_metrics: false,
         }
     }

@@ -28,10 +28,10 @@ use rainbowcake_core::time::{Instant, Micros};
 use rainbowcake_core::types::{ContainerId, FunctionId, Language, Layer};
 use rainbowcake_metrics::{IdleOutcome, InvocationRecord, MetricsCollector, RunReport, StartType};
 use rainbowcake_trace::samplers::{lognormal_from_params, lognormal_params};
-use rainbowcake_trace::{Arrival, Trace};
+use rainbowcake_trace::Arrival;
 
 use crate::concurrency::transition_overhead;
-use crate::config::{DispatchMode, SimConfig, TimerMode};
+use crate::config::SimConfig;
 use crate::container::{AssignedInvocation, Container, LadderState};
 use crate::event::{Event, EventKind, EventQueue};
 use crate::pool::Pool;
@@ -59,105 +59,50 @@ enum Placement {
     Cold,
 }
 
-/// Runs `policy` against `trace` and returns the measured report.
+/// Runs `policy` against a stream of `arrivals` up to `horizon` and
+/// returns the measured report.
 ///
-/// The run is fully deterministic given the catalog, trace, config, and
-/// the policy's own state.
+/// `arrivals` must be sorted by `(time, function)` — the order
+/// `Trace::from_arrivals` and the streaming synthesizers produce — and
+/// is clipped to `horizon` exactly as `from_arrivals` clips. They are
+/// consumed lazily, so the engine's memory footprint is independent of
+/// trace length; a caller holding a `Trace` passes
+/// `trace.iter().copied(), trace.horizon()`.
+///
+/// With `profile`, the run also counts dispatched events per kind into
+/// it and, unless it was built by [`EngineProfile::counting`], times
+/// their handlers (one clock read per grouped run of same-kind events).
+/// The run's completed invocations and the policy's history counters
+/// are added to the profile too. Profiling never changes the report.
+///
+/// The run is fully deterministic given the catalog, arrivals, config,
+/// and the policy's own state.
 pub fn run(
     catalog: &Catalog,
     policy: &mut dyn Policy,
-    trace: &Trace,
-    config: &SimConfig,
-) -> RunReport {
-    let mut engine = Engine::new(catalog, policy, config, trace.horizon());
-    for arrival in trace.iter() {
-        engine.events.push_arrival(arrival.time, arrival.function);
-    }
-    engine.run_to_completion();
-    engine.finish()
-}
-
-/// Like [`run`], but consumes arrivals lazily from an iterator instead
-/// of a materialized [`Trace`], keeping the engine's memory footprint
-/// independent of trace length. `arrivals` must be sorted by
-/// `(time, function)` — the order [`Trace::from_arrivals`] produces —
-/// and is clipped to `horizon` exactly as `from_arrivals` clips.
-///
-/// The result is **byte-identical** to materializing the same arrivals
-/// into a `Trace` and calling [`run`]: arrivals draw sequence numbers
-/// from the queue's low band (see `EventQueue::push_arrival`), so at
-/// any tick they sort before every runtime event no matter how late
-/// they were fed, and the feed loop guarantees every arrival is in the
-/// queue before the engine dispatches past its timestamp.
-pub fn run_streaming(
-    catalog: &Catalog,
-    policy: &mut dyn Policy,
-    arrivals: impl Iterator<Item = Arrival>,
+    arrivals: impl IntoIterator<Item = Arrival>,
     horizon: Micros,
     config: &SimConfig,
+    profile: Option<&mut EngineProfile>,
+) -> RunReport {
+    Engine::new(catalog, policy, config, horizon).run(arrivals, profile)
+}
+
+/// [`run`] on the eager per-rung ladder timer chain: every rung boundary
+/// gets its own `IdleTimeout`, re-armed as each fires. It is the oracle
+/// the lazy terminal-timer schedule must match byte for byte.
+#[cfg(test)]
+pub(crate) fn run_eager(
+    catalog: &Catalog,
+    policy: &mut dyn Policy,
+    arrivals: impl IntoIterator<Item = Arrival>,
+    horizon: Micros,
+    config: &SimConfig,
+    profile: Option<&mut EngineProfile>,
 ) -> RunReport {
     let mut engine = Engine::new(catalog, policy, config, horizon);
-    engine.run_streaming_loop(arrivals, None);
-    engine.finish()
-}
-
-/// [`run_streaming`] with the per-event-kind dispatch breakdown of
-/// [`run_with_profile`] (tick-batched dispatch, like that entry point).
-pub fn run_streaming_with_profile(
-    catalog: &Catalog,
-    policy: &mut dyn Policy,
-    arrivals: impl Iterator<Item = Arrival>,
-    horizon: Micros,
-    config: &SimConfig,
-) -> (RunReport, EngineProfile) {
-    run_streaming_profiled(
-        catalog,
-        policy,
-        arrivals,
-        horizon,
-        config,
-        EngineProfile::default(),
-    )
-}
-
-/// [`run_streaming_with_profile`] with a counts-only profile: event
-/// counts and completed invocations are tracked (one counter bump per
-/// grouped run, or per event in per-event dispatch) but handler timing
-/// is skipped, so the dispatch hot loop stays free of clock reads and
-/// the configured [`DispatchMode`] is honoured. This is how the sharded
-/// cluster pipeline surfaces events-per-invocation without distorting
-/// the throughput it measures.
-pub fn run_streaming_counted(
-    catalog: &Catalog,
-    policy: &mut dyn Policy,
-    arrivals: impl Iterator<Item = Arrival>,
-    horizon: Micros,
-    config: &SimConfig,
-) -> (RunReport, EngineProfile) {
-    run_streaming_profiled(
-        catalog,
-        policy,
-        arrivals,
-        horizon,
-        config,
-        EngineProfile::counting(),
-    )
-}
-
-fn run_streaming_profiled(
-    catalog: &Catalog,
-    policy: &mut dyn Policy,
-    arrivals: impl Iterator<Item = Arrival>,
-    horizon: Micros,
-    config: &SimConfig,
-    mut profile: EngineProfile,
-) -> (RunReport, EngineProfile) {
-    let mut engine = Engine::new(catalog, policy, config, horizon);
-    engine.run_streaming_loop(arrivals, Some(&mut profile));
-    profile.history = engine.policy.history_stats().unwrap_or_default();
-    let report = engine.finish();
-    profile.invocations = report.invocations() as u64;
-    (report, profile)
+    engine.eager_chain = true;
+    engine.run(arrivals, profile)
 }
 
 /// Index of an event kind in [`EngineProfile`]'s arrays.
@@ -172,23 +117,23 @@ fn kind_rank(kind: &EventKind) -> usize {
     }
 }
 
-/// Per-event-kind dispatch statistics from a profiled run
-/// ([`run_with_profile`]): how many events of each kind were handled
-/// and how much wall-clock time their handlers took.
+/// Per-event-kind dispatch statistics from a profiled [`run`]: how many
+/// events of each kind were handled and how much wall-clock time their
+/// handlers took.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineProfile {
     /// Events handled, indexed like [`EngineProfile::KIND_NAMES`].
     pub counts: [u64; 6],
     /// Total handler wall-clock nanoseconds, same indexing.
     pub nanos: [u64; 6],
-    /// Invocations the run completed (for [`Self::events_per_invocation`];
-    /// filled by the profiled entry points from the finished report).
+    /// Invocations the profiled runs completed (for
+    /// [`Self::events_per_invocation`]).
     pub invocations: u64,
     /// History-recorder query counters, if the policy keeps a recorder
     /// ([`Policy::history_stats`]); zeroed otherwise.
     pub history: HistoryStats,
     /// When set, the dispatch loop bumps `counts` but never reads the
-    /// clock, leaving `nanos` zero ([`run_streaming_counted`]).
+    /// clock, leaving `nanos` zero.
     pub counting: bool,
 }
 
@@ -238,28 +183,6 @@ impl EngineProfile {
     }
 }
 
-/// Like [`run`], but also measures a per-event-kind time/count
-/// breakdown of the dispatch loop. The simulation result is identical
-/// to [`run`]'s; timing adds one clock read per grouped run of
-/// same-kind events.
-pub fn run_with_profile(
-    catalog: &Catalog,
-    policy: &mut dyn Policy,
-    trace: &Trace,
-    config: &SimConfig,
-) -> (RunReport, EngineProfile) {
-    let mut engine = Engine::new(catalog, policy, config, trace.horizon());
-    for arrival in trace.iter() {
-        engine.events.push_arrival(arrival.time, arrival.function);
-    }
-    let mut profile = EngineProfile::default();
-    engine.run_tick_batched(Some(&mut profile));
-    profile.history = engine.policy.history_stats().unwrap_or_default();
-    let report = engine.finish();
-    profile.invocations = report.invocations() as u64;
-    (report, profile)
-}
-
 struct Engine<'a> {
     catalog: &'a Catalog,
     config: &'a SimConfig,
@@ -277,13 +200,12 @@ struct Engine<'a> {
     settle_seq: u64,
     /// Earliest `LadderWake` currently in the event queue, if any —
     /// wakes keep the admission queue draining at ladder boundaries
-    /// while memory pressure holds invocations back (lazy mode only).
+    /// while memory pressure holds invocations back.
     wake_armed: Option<Instant>,
     pending: VecDeque<QueuedInvocation>,
-    /// Arrival events currently in the queue during a streaming run.
-    /// The feed loop keeps this positive while unfed arrivals remain,
-    /// so the queue head always bounds the next arrival's time (see
-    /// `run_streaming_loop`). Up-front runs don't maintain it.
+    /// Arrival events currently in the queue. The feed loop keeps this
+    /// positive while unfed arrivals remain, so the queue head always
+    /// bounds the next arrival's time (see [`Engine::run`]).
     arrivals_in_queue: usize,
     horizon: Instant,
     first_arrival: Vec<Option<Instant>>,
@@ -302,6 +224,10 @@ struct Engine<'a> {
     // case, so the two users never nest.
     scratch_views: Vec<ContainerView>,
     scratch_options: Vec<(Micros, u8, Placement)>,
+    /// Runs the eager per-rung timer chain instead of the lazy ladder
+    /// schedule; only `run_eager` sets it.
+    #[cfg(test)]
+    eager_chain: bool,
 }
 
 impl<'a> Engine<'a> {
@@ -330,7 +256,7 @@ impl<'a> Engine<'a> {
             config,
             policy,
             pool: Pool::new(config.memory_capacity),
-            events: EventQueue::with_backend(config.event_queue),
+            events: EventQueue::new(),
             rng: StdRng::seed_from_u64(config.seed),
             metrics: if config.streaming_metrics {
                 MetricsCollector::streaming()
@@ -349,6 +275,8 @@ impl<'a> Engine<'a> {
             now: Instant::ZERO,
             scratch_views: Vec::new(),
             scratch_options: Vec::new(),
+            #[cfg(test)]
+            eager_chain: false,
         }
     }
 
@@ -359,66 +287,30 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run_to_completion(&mut self) {
-        match self.config.dispatch {
-            DispatchMode::TickBatched => self.run_tick_batched(None),
-            DispatchMode::PerEvent => self.run_per_event(),
-        }
+    /// Whether ladder boundaries get per-rung timer events (the
+    /// test-only eager oracle) instead of one terminal timer.
+    #[cfg(test)]
+    fn eager_chain(&self) -> bool {
+        self.eager_chain
     }
 
-    /// The reference dispatch loop: pop and handle one event at a time.
-    fn run_per_event(&mut self) {
-        while let Some(event) = self.events.pop() {
-            self.dispatch_event(event);
-        }
+    #[cfg(not(test))]
+    fn eager_chain(&self) -> bool {
+        false
     }
 
-    /// Advances the clock to `event.time` and runs its handler.
+    /// Dispatches one tick's drained events in grouped runs of
+    /// same-kind events, so the per-event work is a direct handler call
+    /// instead of a queue pop plus an enum match. Handler order is
+    /// exactly per-event pop order — see `EventQueue::pop_tick` for the
+    /// argument.
     ///
-    /// Ladder boundaries strictly before the new tick are settled first
-    /// (idempotent for later events of the same tick), so every handler
-    /// observes the pool exactly as the eager per-rung chain would have
-    /// left it.
-    fn dispatch_event(&mut self, event: Event) {
-        debug_assert!(event.time >= self.now, "time must not run backwards");
-        self.now = event.time;
-        self.settle_due(event.time, false);
-        match event.kind {
-            EventKind::Arrival { function } => self.handle_arrival(function),
-            EventKind::InitComplete { container, epoch } => {
-                self.handle_init_complete(container, epoch)
-            }
-            EventKind::ExecComplete { container } => self.handle_exec_complete(container),
-            EventKind::IdleTimeout { container, epoch } => {
-                self.handle_idle_timeout(container, epoch)
-            }
-            EventKind::PrewarmFire { function } => self.handle_prewarm_fire(function),
-            EventKind::LadderWake => self.handle_ladder_wake(),
-        }
-    }
-
-    /// The tick-batched dispatch loop: drain all events of the earliest
-    /// timestamp into a reusable scratch buffer, then dispatch them in
-    /// grouped runs of same-kind events so the per-event work is a
-    /// direct handler call instead of a queue pop plus an enum match.
-    /// Handler order is identical to [`Self::run_per_event`] — see
-    /// `EventQueue::pop_tick` for the argument.
-    ///
-    /// With `profile` set, each grouped run is timed and counted into
-    /// the per-kind breakdown.
-    fn run_tick_batched(&mut self, mut profile: Option<&mut EngineProfile>) {
-        let mut batch: Vec<Event> = Vec::new();
-        while let Some(tick) = self.events.pop_tick(&mut batch) {
-            debug_assert!(tick >= self.now, "time must not run backwards");
-            self.now = tick;
-            self.dispatch_batch(&batch, profile.as_deref_mut());
-        }
-    }
-
-    /// Dispatches one tick's drained events in grouped runs of same-kind
-    /// events (see [`Self::run_tick_batched`]).
+    /// Ladder boundaries strictly before the tick are settled first, so
+    /// every handler observes the pool exactly as the eager per-rung
+    /// chain would have left it. With `profile` set, each grouped run is
+    /// counted (and, unless counting-only, timed) into the per-kind
+    /// breakdown.
     fn dispatch_batch(&mut self, batch: &[Event], mut profile: Option<&mut EngineProfile>) {
-        // Tick-start settlement — see `dispatch_event`.
         self.settle_due(self.now, false);
         let mut start = 0;
         while start < batch.len() {
@@ -487,10 +379,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The streaming dispatch loop: interleaves feeding arrivals from a
-    /// lazy iterator with dispatching ticks, honouring the configured
-    /// dispatch mode (timed profile runs are tick-batched, mirroring
-    /// [`run_with_profile`]; counts-only profiles honour the mode).
+    /// The run loop: interleaves feeding arrivals from the lazy stream
+    /// with dispatching ticks, then closes the books.
     ///
     /// Correctness invariant: before every `peek_time` the earliest
     /// unfed arrival's time is at or above the queue head, so the
@@ -502,21 +392,21 @@ impl<'a> Engine<'a> {
     /// unfed arrivals — sorted — are at or above it. After peeking, the
     /// feed loop pulls in every arrival at or before the head, so the
     /// dispatched tick sees exactly the arrivals an up-front push would
-    /// have given it.
-    fn run_streaming_loop(
-        &mut self,
-        arrivals: impl Iterator<Item = Arrival>,
+    /// have given it: arrivals draw sequence numbers from the queue's
+    /// low band, so at any tick they sort before every runtime event no
+    /// matter how late they were fed.
+    fn run(
+        mut self,
+        arrivals: impl IntoIterator<Item = Arrival>,
         mut profile: Option<&mut EngineProfile>,
-    ) {
+    ) -> RunReport {
         let horizon = self.horizon;
         // Clip exactly as `Trace::from_arrivals` clips; the stream is
         // time-sorted, so everything past the first late arrival is out.
-        let mut arrivals = arrivals.take_while(|a| a.time <= horizon).peekable();
-        // Timed profiles force tick-batched dispatch (their clock reads
-        // amortize over grouped runs); counts-only profiles honour the
-        // configured mode and count each popped event directly.
-        let tick_batched = profile.as_deref().is_some_and(|p| !p.counting)
-            || matches!(self.config.dispatch, DispatchMode::TickBatched);
+        let mut arrivals = arrivals
+            .into_iter()
+            .take_while(|a| a.time <= horizon)
+            .peekable();
         let mut batch: Vec<Event> = Vec::new();
         loop {
             if self.arrivals_in_queue == 0 {
@@ -529,27 +419,27 @@ impl<'a> Engine<'a> {
                 debug_assert!(arrivals.peek().is_none(), "unfed arrivals but empty queue");
                 break;
             };
-            while arrivals.peek().is_some_and(|a| a.time <= head) {
-                let a = arrivals.next().expect("peeked arrival exists");
+            while let Some(a) = arrivals.next_if(|a| a.time <= head) {
                 self.events.push_arrival(a.time, a.function);
                 self.arrivals_in_queue += 1;
             }
-            if tick_batched {
-                let tick = self
-                    .events
-                    .pop_tick(&mut batch)
-                    .expect("peeked head exists");
-                debug_assert!(tick >= self.now, "time must not run backwards");
-                self.now = tick;
-                self.dispatch_batch(&batch, profile.as_deref_mut());
-            } else {
-                let event = self.events.pop().expect("peeked head exists");
-                if let Some(p) = profile.as_deref_mut() {
-                    p.counts[kind_rank(&event.kind)] += 1;
-                }
-                self.dispatch_event(event);
-            }
+            let tick = self
+                .events
+                .pop_tick(&mut batch)
+                .expect("peeked head exists");
+            debug_assert!(tick >= self.now, "time must not run backwards");
+            self.now = tick;
+            self.dispatch_batch(&batch, profile.as_deref_mut());
         }
+        if let Some(p) = profile.as_deref_mut() {
+            p.history
+                .merge(&self.policy.history_stats().unwrap_or_default());
+        }
+        let report = self.finish();
+        if let Some(p) = profile {
+            p.invocations += report.invocations() as u64;
+        }
+        report
     }
 
     fn finish(mut self) -> RunReport {
@@ -685,7 +575,7 @@ impl<'a> Engine<'a> {
     // ------------------------------------------------------------------
 
     fn handle_arrival(&mut self, f: FunctionId) {
-        self.arrivals_in_queue = self.arrivals_in_queue.saturating_sub(1);
+        self.arrivals_in_queue -= 1;
         if self.first_arrival[f.index()].is_none() {
             self.first_arrival[f.index()] = Some(self.now);
         }
@@ -1116,14 +1006,14 @@ impl<'a> Engine<'a> {
     //
     // When a policy exposes its full downgrade schedule as a TtlLadder,
     // the engine stops re-arming a timer per rung. Instead it keeps one
-    // settlement-heap entry per idle container (plus, in lazy mode, a
-    // single terminal IdleTimeout at the ladder's death) and replays
-    // every elapsed boundary — waste records, physical downgrades,
-    // terminations — the moment the clock next moves, before any
-    // handler can observe the pool. The eager mode pushes one
+    // settlement-heap entry per idle container (plus a single terminal
+    // IdleTimeout at the ladder's death) and replays every elapsed
+    // boundary — waste records, physical downgrades, terminations — the
+    // moment the clock next moves, before any handler can observe the
+    // pool. The test-only eager oracle (`run_eager`) pushes one
     // IdleTimeout per rung instead and settles from the same heap, so
-    // both modes execute identical settlement sequences; they differ
-    // only in event multiplicity.
+    // both execute identical settlement sequences; they differ only in
+    // event multiplicity.
     // ------------------------------------------------------------------
 
     /// Whether a settlement-heap entry still describes the container's
@@ -1220,7 +1110,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Registers the container's current-rung boundary in the
-    /// settlement heap (and, in eager mode, as a per-rung timer event).
+    /// settlement heap (and, under the eager oracle, as a per-rung timer
+    /// event).
     /// A never-expiring rung parks the container: no entry, and the
     /// epoch is noted so any pending timer for it dies in-queue.
     fn push_boundary(&mut self, id: ContainerId) {
@@ -1232,7 +1123,7 @@ impl<'a> Engine<'a> {
                 let seq = self.settle_seq;
                 self.settle_seq += 1;
                 self.settle.push(Reverse((b, seq, id, epoch)));
-                if self.config.timer_mode == TimerMode::Eager {
+                if self.eager_chain() {
                     self.events.push_ladder(
                         b,
                         EventKind::IdleTimeout {
@@ -1247,9 +1138,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Puts a freshly idle container on `ladder`: rung 0 starts at its
-    /// `idle_since`. Lazy mode arms exactly one terminal timer at the
-    /// ladder's death; eager mode arms per-rung timers via
-    /// [`Self::push_boundary`].
+    /// `idle_since`, and exactly one terminal timer is armed at the
+    /// ladder's death (the eager oracle arms per-rung timers via
+    /// [`Self::push_boundary`] instead).
     fn install_ladder(&mut self, id: ContainerId, ladder: TtlLadder) {
         let (idle_since, epoch) = {
             let mut c = self.pool.get_mut(id).expect("container exists");
@@ -1261,7 +1152,7 @@ impl<'a> Engine<'a> {
             (c.idle_since, c.epoch)
         };
         self.push_boundary(id);
-        if self.config.timer_mode == TimerMode::Lazy {
+        if !self.eager_chain() {
             match ladder.death(idle_since) {
                 Some(death) => self.events.push_ladder(
                     death,
@@ -1278,10 +1169,10 @@ impl<'a> Engine<'a> {
 
     /// A `LadderWake` fired: settle everything due (boundary included —
     /// this wake *is* the boundary) and re-admit queued work into any
-    /// freed memory. The drain is gated on an actual settlement so both
-    /// timer modes drain at exactly the same ticks (a stale wake, like a
-    /// stale eager rung timer, must not touch the admission queue or
-    /// the RNG stream).
+    /// freed memory. The drain is gated on an actual settlement so the
+    /// lazy schedule drains at exactly the eager oracle's ticks (a stale
+    /// wake, like a stale eager rung timer, must not touch the admission
+    /// queue or the RNG stream).
     fn handle_ladder_wake(&mut self) {
         self.wake_armed = None;
         if self.settle_due(self.now, true) > 0 {
@@ -1292,11 +1183,11 @@ impl<'a> Engine<'a> {
 
     /// Arms a `LadderWake` at the earliest live ladder boundary, if the
     /// admission queue is non-empty and no earlier wake is already in
-    /// flight. Without this, lazy mode would sit on queued invocations
+    /// flight. Without this, the lazy schedule would sit on queued invocations
     /// across a boundary the eager chain's rung timer would have freed
     /// memory at. Invalid heap heads are pruned on the way.
     fn arm_pending_wake(&mut self) {
-        if self.pending.is_empty() || self.config.timer_mode == TimerMode::Eager {
+        if self.pending.is_empty() || self.eager_chain() {
             return;
         }
         let target = loop {
@@ -1602,11 +1493,14 @@ const CLASS_BY_RANK: [ReuseClass; 5] = [
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use rainbowcake_core::policy::{ArrivalResponse, ContainerView};
     use rainbowcake_core::profile::FunctionProfile;
+    use rainbowcake_core::rainbow::RainbowCake;
     use rainbowcake_core::types::Language;
-    use rainbowcake_trace::Arrival;
+    use rainbowcake_trace::Trace;
 
     /// A configurable test policy: fixed TTL, optional layer sharing,
     /// optional pre-warming.
@@ -1750,13 +1644,26 @@ mod tests {
         SimConfig::deterministic(1)
     }
 
+    fn run_trace(cat: &Catalog, p: &mut dyn Policy, trace: &Trace, cfg: &SimConfig) -> RunReport {
+        run(cat, p, trace.iter().copied(), trace.horizon(), cfg, None)
+    }
+
+    fn run_trace_eager(
+        cat: &Catalog,
+        p: &mut dyn Policy,
+        trace: &Trace,
+        cfg: &SimConfig,
+    ) -> RunReport {
+        run_eager(cat, p, trace.iter().copied(), trace.horizon(), cfg, None)
+    }
+
     #[test]
     fn cold_then_warm_reuse() {
         let cat = catalog();
         let mut p = TestPolicy::keepalive(Micros::from_mins(10));
         // Two invocations 30 s apart: first cold, second hits the idle
         // User container.
-        let report = run(&cat, &mut p, &trace_of(&[(0, 0), (30, 0)], 300), &config());
+        let report = run_trace(&cat, &mut p, &trace_of(&[(0, 0), (30, 0)], 300), &config());
         assert_eq!(report.records.len(), 2);
         assert_eq!(report.records[0].start_type, StartType::Cold);
         assert_eq!(report.records[1].start_type, StartType::WarmUser);
@@ -1770,7 +1677,7 @@ mod tests {
     fn expired_container_causes_second_cold_start() {
         let cat = catalog();
         let mut p = TestPolicy::keepalive(Micros::from_secs(5));
-        let report = run(&cat, &mut p, &trace_of(&[(0, 0), (60, 0)], 300), &config());
+        let report = run_trace(&cat, &mut p, &trace_of(&[(0, 0), (60, 0)], 300), &config());
         assert_eq!(report.cold_starts(), 2);
     }
 
@@ -1785,7 +1692,7 @@ mod tests {
         };
         // fn0 runs, idles 20 s, downgrades to Lang; fn1 (same language)
         // arrives and reuses the Lang container.
-        let report = run(&cat, &mut p, &trace_of(&[(0, 0), (30, 1)], 300), &config());
+        let report = run_trace(&cat, &mut p, &trace_of(&[(0, 0), (30, 1)], 300), &config());
         assert_eq!(report.records.len(), 2);
         assert_eq!(report.records[1].start_type, StartType::SharedLang);
         let p1 = cat.profile(FunctionId::new(1));
@@ -1802,7 +1709,7 @@ mod tests {
             downgrade: true,
             prewarm_delay: None,
         };
-        let report = run(&cat, &mut p, &trace_of(&[(0, 0)], 120), &config());
+        let report = run_trace(&cat, &mut p, &trace_of(&[(0, 0)], 120), &config());
         assert_eq!(report.records.len(), 1);
         // After execution: idle User 10 s -> Lang 10 s -> Bare 10 s ->
         // terminated. All idle waste is never-hit.
@@ -1816,7 +1723,7 @@ mod tests {
         let mut p = TestPolicy::keepalive(Micros::from_secs(30));
         // Second invocation hits the idle container: that idle interval
         // is "eventually hit"; the final idle interval expires unhit.
-        let report = run(&cat, &mut p, &trace_of(&[(0, 0), (20, 0)], 300), &config());
+        let report = run_trace(&cat, &mut p, &trace_of(&[(0, 0), (20, 0)], 300), &config());
         assert!(report.waste.hit_total().value() > 0.0);
         assert!(report.waste.miss_total().value() > 0.0);
     }
@@ -1835,7 +1742,7 @@ mod tests {
         // container expires at ~2 s after its first idle. The pre-warm
         // fires at t=30; a second arrival at t=31 lands mid-warming and
         // attaches ("Load" in Fig. 10).
-        let report = run(&cat, &mut p, &trace_of(&[(0, 0), (31, 0)], 300), &config());
+        let report = run_trace(&cat, &mut p, &trace_of(&[(0, 0), (31, 0)], 300), &config());
         assert_eq!(report.records.len(), 2);
         assert_eq!(report.records[1].start_type, StartType::Attached);
         // The attached startup is shorter than a cold start.
@@ -1853,7 +1760,7 @@ mod tests {
         // eviction of the idle container.
         let mut cfg = config();
         cfg.memory_capacity = MemMb::new(200);
-        let report = run(&cat, &mut p, &trace_of(&[(0, 0), (0, 1)], 600), &cfg);
+        let report = run_trace(&cat, &mut p, &trace_of(&[(0, 0), (0, 1)], 600), &cfg);
         assert_eq!(report.records.len(), 2);
         let r1 = &report.records[1];
         assert!(r1.queue > Micros::ZERO, "second invocation must queue");
@@ -1866,7 +1773,7 @@ mod tests {
         let mut p = TestPolicy::keepalive(Micros::from_mins(10));
         let mut cfg = config();
         cfg.memory_capacity = MemMb::new(10);
-        let report = run(&cat, &mut p, &trace_of(&[(0, 0)], 60), &cfg);
+        let report = run_trace(&cat, &mut p, &trace_of(&[(0, 0)], 60), &cfg);
         assert_eq!(report.records.len(), 0);
     }
 
@@ -1879,9 +1786,9 @@ mod tests {
             ..SimConfig::default()
         };
         let mut p1 = TestPolicy::keepalive(Micros::from_mins(1));
-        let a = run(&cat, &mut p1, &trace, &cfg);
+        let a = run_trace(&cat, &mut p1, &trace, &cfg);
         let mut p2 = TestPolicy::keepalive(Micros::from_mins(1));
-        let b = run(&cat, &mut p2, &trace, &cfg);
+        let b = run_trace(&cat, &mut p2, &trace, &cfg);
         assert_eq!(a.records, b.records);
         assert_eq!(a.waste, b.waste);
     }
@@ -1893,48 +1800,12 @@ mod tests {
         let mut cfg = config();
         // Short TTL: both invocations are cold.
         let mut p1 = TestPolicy::keepalive(Micros::from_secs(1));
-        let base = run(&cat, &mut p1, &trace, &cfg);
+        let base = run_trace(&cat, &mut p1, &trace, &cfg);
         cfg.checkpoint = Some(crate::config::CheckpointConfig::default());
         let mut p2 = TestPolicy::keepalive(Micros::from_secs(1));
-        let cp = run(&cat, &mut p2, &trace, &cfg);
+        let cp = run_trace(&cat, &mut p2, &trace, &cfg);
         assert!(cp.total_startup() < base.total_startup());
         assert!(cp.total_waste().value() > base.total_waste().value());
-    }
-
-    #[test]
-    fn streaming_run_is_byte_identical_to_materialized() {
-        use crate::event::QueueKind;
-        let cat = catalog();
-        let trace = trace_of(&[(0, 0), (10, 1), (20, 0), (20, 1), (40, 1), (70, 0)], 300);
-        for queue in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            for dispatch in [DispatchMode::TickBatched, DispatchMode::PerEvent] {
-                let cfg = SimConfig {
-                    event_queue: queue,
-                    dispatch,
-                    ..SimConfig::default()
-                };
-                let mut p1 = TestPolicy {
-                    ttl: Micros::from_secs(30),
-                    share_layers: true,
-                    downgrade: true,
-                    prewarm_delay: Some(Micros::from_secs(15)),
-                };
-                let materialized = run(&cat, &mut p1, &trace, &cfg);
-                let mut p2 = TestPolicy {
-                    ttl: Micros::from_secs(30),
-                    share_layers: true,
-                    downgrade: true,
-                    prewarm_delay: Some(Micros::from_secs(15)),
-                };
-                let streamed =
-                    run_streaming(&cat, &mut p2, trace.iter().copied(), trace.horizon(), &cfg);
-                assert_eq!(
-                    streamed.to_json(),
-                    materialized.to_json(),
-                    "streaming diverged ({queue:?}, {dispatch:?})"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1945,9 +1816,9 @@ mod tests {
         let trace = trace_of(&all, 50);
         assert_eq!(trace.len(), 2, "from_arrivals clips past the horizon");
         let mut p1 = TestPolicy::keepalive(Micros::from_mins(1));
-        let materialized = run(&cat, &mut p1, &trace, &config());
+        let materialized = run_trace(&cat, &mut p1, &trace, &config());
         let mut p2 = TestPolicy::keepalive(Micros::from_mins(1));
-        let streamed = run_streaming(
+        let streamed = run(
             &cat,
             &mut p2,
             all.iter().map(|&(s, f)| Arrival {
@@ -1956,6 +1827,7 @@ mod tests {
             }),
             horizon,
             &config(),
+            None,
         );
         assert_eq!(streamed.to_json(), materialized.to_json());
     }
@@ -1963,9 +1835,9 @@ mod tests {
     #[test]
     fn ladder_run_matches_classic_downgrade_chain() {
         // One container walking User -> Lang -> Bare -> death, plus a
-        // mid-ladder SharedLang hit: the ladder path (in both timer
-        // modes) must reproduce the classic per-rung chain byte for
-        // byte when no admission queueing coalesces drains.
+        // mid-ladder SharedLang hit: the ladder path (lazy, and on the
+        // eager oracle) must reproduce the classic per-rung chain byte
+        // for byte when no admission queueing coalesces drains.
         let cat = catalog();
         let trace = trace_of(&[(0, 0), (30, 1), (200, 0)], 400);
         let cfg = config();
@@ -1975,53 +1847,37 @@ mod tests {
             downgrade: true,
             prewarm_delay: None,
         };
-        let reference = run(&cat, &mut classic, &trace, &cfg);
-        for timer_mode in [TimerMode::Lazy, TimerMode::Eager] {
-            let cfg = SimConfig {
-                timer_mode,
-                ..cfg.clone()
-            };
+        let reference = run_trace(&cat, &mut classic, &trace, &cfg);
+        for eager in [false, true] {
             let mut ladder = LadderPolicy::new(Micros::from_secs(20));
-            let got = run(&cat, &mut ladder, &trace, &cfg);
+            let got = if eager {
+                run_trace_eager(&cat, &mut ladder, &trace, &cfg)
+            } else {
+                run_trace(&cat, &mut ladder, &trace, &cfg)
+            };
             assert_eq!(
                 got.records, reference.records,
-                "ladder records diverged ({timer_mode:?})"
+                "ladder records diverged (eager: {eager})"
             );
             assert_eq!(
                 got.waste, reference.waste,
-                "ladder waste diverged ({timer_mode:?})"
+                "ladder waste diverged (eager: {eager})"
             );
         }
     }
 
     #[test]
     fn lazy_and_eager_ladders_are_byte_identical_under_pressure() {
-        use crate::event::QueueKind;
         let cat = catalog();
         // Tight memory forces admission queueing, so lazy wakes (not
         // per-rung timers) must free queued work at ladder boundaries.
         let trace = trace_of(&[(0, 0), (0, 1), (40, 0), (41, 1), (100, 1)], 400);
-        for queue in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            for dispatch in [DispatchMode::TickBatched, DispatchMode::PerEvent] {
-                let mut cfg = SimConfig {
-                    event_queue: queue,
-                    dispatch,
-                    ..SimConfig::default()
-                };
-                cfg.memory_capacity = MemMb::new(200);
-                cfg.timer_mode = TimerMode::Eager;
-                let mut p1 = LadderPolicy::new(Micros::from_secs(15));
-                let eager = run(&cat, &mut p1, &trace, &cfg);
-                cfg.timer_mode = TimerMode::Lazy;
-                let mut p2 = LadderPolicy::new(Micros::from_secs(15));
-                let lazy = run(&cat, &mut p2, &trace, &cfg);
-                assert_eq!(
-                    lazy.to_json(),
-                    eager.to_json(),
-                    "timer modes diverged ({queue:?}, {dispatch:?})"
-                );
-            }
-        }
+        let cfg = SimConfig::with_memory(MemMb::new(200));
+        let mut p1 = LadderPolicy::new(Micros::from_secs(15));
+        let eager = run_trace_eager(&cat, &mut p1, &trace, &cfg);
+        let mut p2 = LadderPolicy::new(Micros::from_secs(15));
+        let lazy = run_trace(&cat, &mut p2, &trace, &cfg);
+        assert_eq!(lazy.to_json(), eager.to_json());
     }
 
     #[test]
@@ -2050,17 +1906,10 @@ mod tests {
                 unreachable!("ladder containers never consult on_timeout")
             }
         }
-        let mut results = Vec::new();
-        for timer_mode in [TimerMode::Lazy, TimerMode::Eager] {
-            let cfg = SimConfig {
-                timer_mode,
-                ..config()
-            };
-            let report = run(&cat, &mut ParkedLadder, &trace, &cfg);
-            assert!(report.waste.miss_total().value() > 0.0);
-            results.push(report.to_json());
-        }
-        assert_eq!(results[0], results[1]);
+        let lazy = run_trace(&cat, &mut ParkedLadder, &trace, &config());
+        let eager = run_trace_eager(&cat, &mut ParkedLadder, &trace, &config());
+        assert!(lazy.waste.miss_total().value() > 0.0);
+        assert_eq!(lazy.to_json(), eager.to_json());
     }
 
     #[test]
@@ -2070,16 +1919,33 @@ mod tests {
         // period, lazy pays one terminal timer plus tick-start
         // settlement.
         let trace = trace_of(&[(0, 0), (100, 0), (200, 1), (300, 0)], 500);
-        let run_mode = |timer_mode| {
-            let cfg = SimConfig {
-                timer_mode,
-                ..config()
-            };
+        let run_mode = |eager| {
             let mut p = LadderPolicy::new(Micros::from_secs(10));
-            run_with_profile(&cat, &mut p, &trace, &cfg)
+            let mut profile = EngineProfile::default();
+            let (arrivals, horizon) = (trace.iter().copied(), trace.horizon());
+            let report = if eager {
+                run_eager(
+                    &cat,
+                    &mut p,
+                    arrivals,
+                    horizon,
+                    &config(),
+                    Some(&mut profile),
+                )
+            } else {
+                run(
+                    &cat,
+                    &mut p,
+                    arrivals,
+                    horizon,
+                    &config(),
+                    Some(&mut profile),
+                )
+            };
+            (report, profile)
         };
-        let (lazy_report, lazy) = run_mode(TimerMode::Lazy);
-        let (eager_report, eager) = run_mode(TimerMode::Eager);
+        let (lazy_report, lazy) = run_mode(false);
+        let (eager_report, eager) = run_mode(true);
         assert_eq!(lazy_report.to_json(), eager_report.to_json());
         assert_eq!(lazy.invocations, 4);
         assert_eq!(eager.invocations, 4);
@@ -2139,7 +2005,7 @@ mod tests {
             downgrade: true,
             prewarm_delay: None,
         };
-        let reference = run(&cat, &mut classic, &trace, &cfg);
+        let reference = run_trace(&cat, &mut classic, &trace, &cfg);
         let mut handoff = HandoffPolicy {
             inner: TestPolicy {
                 ttl: Micros::from_secs(20),
@@ -2148,7 +2014,7 @@ mod tests {
                 prewarm_delay: None,
             },
         };
-        let got = run(&cat, &mut handoff, &trace, &cfg);
+        let got = run_trace(&cat, &mut handoff, &trace, &cfg);
         assert_eq!(got.records, reference.records);
         assert_eq!(got.waste, reference.waste);
     }
@@ -2159,8 +2025,42 @@ mod tests {
         let mut p = TestPolicy::keepalive(Micros::from_mins(10));
         let mut cfg = config();
         cfg.memory_capacity = MemMb::new(200);
-        let report = run(&cat, &mut p, &trace_of(&[(0, 0), (0, 1)], 600), &cfg);
+        let report = run_trace(&cat, &mut p, &trace_of(&[(0, 0), (0, 1)], 600), &cfg);
         let r = &report.records[1];
         assert_eq!(r.e2e(), r.queue + r.startup + r.exec);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The lazy-ladder oracle: on arbitrary traces, seeds, and memory
+        /// budgets (pressure included), a RainbowCake run with one
+        /// terminal timer per idle period is byte-identical to the eager
+        /// per-rung chain. Debug builds additionally check every
+        /// tick-start settlement against the eager-chain schedule walk
+        /// (`LadderState::effective_at`) via a `debug_assert` in
+        /// `settle_due`.
+        #[test]
+        fn lazy_ladder_settlement_matches_eager_chain_oracle(
+            raw in prop::collection::vec((0u64..1_800, 0u32..3), 1..120),
+            seed in any::<u64>(),
+            capacity_mb in 256u64..8_192,
+        ) {
+            let mut catalog = Catalog::new();
+            for lang in [Language::NodeJs, Language::Python, Language::Java] {
+                catalog.push(FunctionProfile::synthetic(FunctionId::new(0), lang));
+            }
+            let trace = trace_of(&raw, 40 * 60);
+            let config = SimConfig {
+                memory_capacity: MemMb::new(capacity_mb),
+                seed,
+                ..SimConfig::default()
+            };
+            let mut eager_policy = RainbowCake::with_defaults(&catalog).unwrap();
+            let eager = run_trace_eager(&catalog, &mut eager_policy, &trace, &config);
+            let mut lazy_policy = RainbowCake::with_defaults(&catalog).unwrap();
+            let lazy = run_trace(&catalog, &mut lazy_policy, &trace, &config);
+            prop_assert_eq!(lazy.to_json(), eager.to_json());
+        }
     }
 }

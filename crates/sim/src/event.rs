@@ -1,14 +1,12 @@
 //! The discrete-event core: timestamped events with a deterministic
 //! total order (time, then insertion sequence).
 //!
-//! Two interchangeable backends implement that order (see DESIGN.md §7):
+//! A **hierarchical timer wheel** implements that order (see DESIGN.md
+//! §7): O(1) pushes, pops amortized O(levels), FIFO within a tick by
+//! construction. The original binary heap survives only as the
+//! test-only reference this module's tests check the wheel against.
 //!
-//! * a **hierarchical timer wheel** (the default) — O(1) pushes, pops
-//!   amortized O(levels), FIFO within a tick by construction; and
-//! * the original **binary heap**, kept as the behavioural reference for
-//!   the byte-identity tests in `tests/event_core_identity.rs`.
-//!
-//! On top of either backend the queue maintains per-container
+//! On top of the wheel the queue maintains per-container
 //! **generation stamps** so that stale container events (the old
 //! `IdleTimeout` left behind by every reuse and every layer downgrade)
 //! are dropped inside `pop` instead of surviving until the engine's
@@ -17,8 +15,7 @@
 //! so a missed invalidation degrades to the old filter-at-handler
 //! behaviour and never changes simulation results.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use rainbowcake_core::time::Instant;
 use rainbowcake_core::types::{ContainerId, FunctionId};
@@ -96,32 +93,6 @@ pub struct Event {
     pub seq: u64,
     /// What happens.
     pub kind: EventKind,
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops
-        // first, with the insertion sequence breaking ties.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Which future-event-list implementation an [`EventQueue`] uses. Both
-/// produce the identical pop order; the heap is kept as the reference
-/// for equivalence tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Hierarchical timer wheel (the default).
-    #[default]
-    TimerWheel,
-    /// The original `BinaryHeap` future-event list.
-    BinaryHeap,
 }
 
 /// Bits of the slot index at each wheel level.
@@ -219,8 +190,8 @@ impl Wheel {
     /// `IdleTimeout` would otherwise ride the cascade through every
     /// finer level just to be discarded at the head. Dropping earlier
     /// than `pop` would is unobservable — stamps never un-stale an
-    /// event — and the count keeps `len + stale_dropped` an exact
-    /// backend-independent invariant (`tests/properties.rs`).
+    /// event — and the count keeps `len + stale_dropped` exactly equal
+    /// to the heap reference's (this module's tests).
     fn advance_to_head(&mut self, stamps: &[Stamp], len: &mut usize, dropped: &mut u64) -> bool {
         loop {
             if !self.current.is_empty() {
@@ -283,13 +254,13 @@ impl Wheel {
 const RUNTIME_SEQ_BASE: u64 = 1 << 48;
 
 /// First sequence number of the ladder band: terminal ladder timers,
-/// eager rung timers and [`EventKind::LadderWake`] wakes sort *after*
-/// every arrival and every runtime event sharing their tick. A ladder
-/// boundary at instant `b` therefore becomes visible strictly after
-/// all the tick-`b` work that was scheduled before it — the same
-/// within-tick position the old eager downgrade chain gave its
-/// re-armed timers — and the two timer modes order identically by
-/// construction.
+/// [`EventKind::LadderWake`] wakes and the test-only eager rung timers
+/// sort *after* every arrival and every runtime event sharing their
+/// tick. A ladder boundary at instant `b` therefore becomes visible
+/// strictly after all the tick-`b` work that was scheduled before it —
+/// the same within-tick position the eager downgrade chain gives its
+/// re-armed timers — so the lazy schedule and that oracle order
+/// identically by construction.
 const LADDER_SEQ_BASE: u64 = 1 << 60;
 
 /// A per-container-slot generation stamp: events scheduled for an older
@@ -305,15 +276,9 @@ struct Stamp {
     min_epoch: u64,
 }
 
-#[derive(Debug)]
-enum Backend {
-    Wheel(Wheel),
-    Heap(BinaryHeap<Event>),
-}
-
 /// Stamp-table staleness check shared by [`EventQueue::pop`] and
 /// [`EventQueue::pop_tick`] — a free function so tick draining can run
-/// while the backend is mutably borrowed.
+/// while the wheel is mutably borrowed.
 fn stale(stamps: &[Stamp], event: &Event) -> bool {
     let Some((container, epoch)) = event.kind.guard() else {
         return false;
@@ -326,10 +291,29 @@ fn stale(stamps: &[Stamp], event: &Event) -> bool {
     }
 }
 
+/// Raises `container`'s stamp to at least `epoch` (see
+/// [`EventQueue::note`]).
+fn note_stamp(stamps: &mut Vec<Stamp>, container: ContainerId, epoch: u64) {
+    let slot = container.slot();
+    if slot >= stamps.len() {
+        stamps.resize(slot + 1, Stamp::default());
+    }
+    let stamp = &mut stamps[slot];
+    let seq = container.seq();
+    if seq > stamp.seq {
+        *stamp = Stamp {
+            seq,
+            min_epoch: epoch,
+        };
+    } else if seq == stamp.seq && epoch > stamp.min_epoch {
+        stamp.min_epoch = epoch;
+    }
+}
+
 /// A deterministic future-event list.
 #[derive(Debug)]
 pub struct EventQueue {
-    backend: Backend,
+    wheel: Wheel,
     /// Next runtime-band sequence number (starts at
     /// [`RUNTIME_SEQ_BASE`]).
     next_seq: u64,
@@ -340,9 +324,8 @@ pub struct EventQueue {
     next_ladder_seq: u64,
     len: usize,
     /// Events discarded as provably stale instead of delivered. The
-    /// wheel drops mid-cascade and the heap drops at the head, so `len`
-    /// alone diverges between backends — but `len + stale_dropped` is
-    /// exact and backend-independent.
+    /// wheel drops some mid-cascade, so `len` alone may run below a
+    /// pop-time filter's — but `len + stale_dropped` is exact.
     stale_dropped: u64,
     /// Generation stamps indexed by pool slot (`ContainerId::slot`).
     stamps: Vec<Stamp>,
@@ -355,19 +338,10 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// Creates an empty queue on the default (timer wheel) backend.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue::with_backend(QueueKind::TimerWheel)
-    }
-
-    /// Creates an empty queue on the chosen backend.
-    pub fn with_backend(kind: QueueKind) -> Self {
-        let backend = match kind {
-            QueueKind::TimerWheel => Backend::Wheel(Wheel::new()),
-            QueueKind::BinaryHeap => Backend::Heap(BinaryHeap::new()),
-        };
         EventQueue {
-            backend,
+            wheel: Wheel::new(),
             next_seq: RUNTIME_SEQ_BASE,
             next_arrival_seq: 0,
             next_ladder_seq: LADDER_SEQ_BASE,
@@ -387,18 +361,14 @@ impl EventQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        let event = Event { time, seq, kind };
-        match &mut self.backend {
-            Backend::Wheel(w) => w.push(event),
-            Backend::Heap(h) => h.push(event),
-        }
+        self.wheel.push(Event { time, seq, kind });
     }
 
     /// Schedules `kind` at `time` in the high (ladder) sequence band:
     /// at any tick, ladder events sort after every arrival and every
     /// runtime event regardless of when they were pushed — see
-    /// [`LADDER_SEQ_BASE`]. Used for ladder terminal timers, eager
-    /// rung timers and [`EventKind::LadderWake`].
+    /// [`LADDER_SEQ_BASE`]. Used for ladder terminal timers and
+    /// [`EventKind::LadderWake`].
     pub fn push_ladder(&mut self, time: Instant, kind: EventKind) {
         if let Some((container, epoch)) = kind.guard() {
             self.note(container, epoch);
@@ -406,11 +376,7 @@ impl EventQueue {
         let seq = self.next_ladder_seq;
         self.next_ladder_seq += 1;
         self.len += 1;
-        let event = Event { time, seq, kind };
-        match &mut self.backend {
-            Backend::Wheel(w) => w.push(event),
-            Backend::Heap(h) => h.push(event),
-        }
+        self.wheel.push(Event { time, seq, kind });
     }
 
     /// Schedules an invocation arrival of `function` at `time` in the
@@ -422,58 +388,45 @@ impl EventQueue {
         let seq = self.next_arrival_seq;
         self.next_arrival_seq += 1;
         self.len += 1;
-        let event = Event {
+        self.wheel.push(Event {
             time,
             seq,
             kind: EventKind::Arrival { function },
-        };
-        match &mut self.backend {
-            Backend::Wheel(w) => w.push(event),
-            Backend::Heap(h) => h.push(event),
-        }
+        });
     }
 
     /// The timestamp of the earliest live pending event, discarding
     /// provably stale heads along the way (exactly the events `pop`
     /// would discard).
     ///
-    /// On the wheel backend this advances the cursor to the head tick,
-    /// so afterwards only events at `>=` the returned time may be
-    /// pushed. The streaming drivers uphold that by construction: they
-    /// keep the earliest unfed arrival's time at or above the queue
-    /// head before every peek (see `engine::run_streaming`).
+    /// This advances the wheel's cursor to the head tick, so afterwards
+    /// only events at `>=` the returned time may be pushed. The engine's
+    /// run loop upholds that by construction: it keeps the earliest
+    /// unfed arrival's time at or above the queue head before every
+    /// peek (see `engine::run`).
     pub fn peek_time(&mut self) -> Option<Instant> {
         let EventQueue {
-            backend,
+            wheel,
             len,
             stale_dropped,
             stamps,
             ..
         } = self;
-        match backend {
-            Backend::Wheel(w) => loop {
-                if !w.advance_to_head(stamps, len, stale_dropped) {
-                    return None;
-                }
-                let event = *w.current.front().expect("advance_to_head returned true");
-                if stale(stamps, &event) {
-                    w.current.pop_front();
-                    *len -= 1;
-                    *stale_dropped += 1;
-                    continue;
-                }
-                return Some(event.time);
-            },
-            Backend::Heap(h) => loop {
-                let event = *h.peek()?;
-                if stale(stamps, &event) {
-                    h.pop();
-                    *len -= 1;
-                    *stale_dropped += 1;
-                    continue;
-                }
-                return Some(event.time);
-            },
+        loop {
+            if !wheel.advance_to_head(stamps, len, stale_dropped) {
+                return None;
+            }
+            let event = *wheel
+                .current
+                .front()
+                .expect("advance_to_head returned true");
+            if stale(stamps, &event) {
+                wheel.current.pop_front();
+                *len -= 1;
+                *stale_dropped += 1;
+                continue;
+            }
+            return Some(event.time);
         }
     }
 
@@ -486,20 +439,7 @@ impl EventQueue {
     /// handlers re-check epochs against live containers — it only lets
     /// the queue discard provably dead timers early.
     pub fn note(&mut self, container: ContainerId, epoch: u64) {
-        let slot = container.slot();
-        if slot >= self.stamps.len() {
-            self.stamps.resize(slot + 1, Stamp::default());
-        }
-        let stamp = &mut self.stamps[slot];
-        let seq = container.seq();
-        if seq > stamp.seq {
-            *stamp = Stamp {
-                seq,
-                min_epoch: epoch,
-            };
-        } else if seq == stamp.seq && epoch > stamp.min_epoch {
-            stamp.min_epoch = epoch;
-        }
+        note_stamp(&mut self.stamps, container, epoch);
     }
 
     /// Marks `container` destroyed: every pending epoch-guarded event
@@ -514,17 +454,14 @@ impl EventQueue {
     /// would be no-ops.
     pub fn pop(&mut self) -> Option<Event> {
         let EventQueue {
-            backend,
+            wheel,
             len,
             stale_dropped,
             stamps,
             ..
         } = self;
         loop {
-            let event = match backend {
-                Backend::Wheel(w) => w.pop(stamps, len, stale_dropped),
-                Backend::Heap(h) => h.pop(),
-            }?;
+            let event = wheel.pop(stamps, len, stale_dropped)?;
             *len -= 1;
             if stale(stamps, &event) {
                 *stale_dropped += 1;
@@ -555,45 +492,28 @@ impl EventQueue {
         let tick = first.time;
         out.push(first);
         let EventQueue {
-            backend,
+            wheel,
             len,
             stale_dropped,
             stamps,
             ..
         } = self;
-        match backend {
-            Backend::Wheel(w) => {
-                // Wheel invariant: after a pop, `current` holds exactly
-                // the remaining events at `cursor == tick`, seq-sorted.
-                while let Some(event) = w.current.pop_front() {
-                    debug_assert_eq!(event.time, tick);
-                    *len -= 1;
-                    if stale(stamps, &event) {
-                        *stale_dropped += 1;
-                    } else {
-                        out.push(event);
-                    }
-                }
-            }
-            Backend::Heap(h) => {
-                while h.peek().is_some_and(|e| e.time == tick) {
-                    let event = h.pop().expect("peeked event exists");
-                    *len -= 1;
-                    if stale(stamps, &event) {
-                        *stale_dropped += 1;
-                    } else {
-                        out.push(event);
-                    }
-                }
+        // Wheel invariant: after a pop, `current` holds exactly the
+        // remaining events at `cursor == tick`, seq-sorted.
+        while let Some(event) = wheel.current.pop_front() {
+            debug_assert_eq!(event.time, tick);
+            *len -= 1;
+            if stale(stamps, &event) {
+                *stale_dropped += 1;
+            } else {
+                out.push(event);
             }
         }
         Some(tick)
     }
 
-    /// Number of pending events. Stale events count until the backend
-    /// discards them — at `pop` on the heap, but possibly earlier on
-    /// the wheel (mid-cascade), so the two backends may disagree on
-    /// `len` while agreeing exactly on every popped event.
+    /// Number of pending events. Stale events count until the wheel
+    /// discards them — mid-cascade or at `pop`.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -603,11 +523,10 @@ impl EventQueue {
         self.len == 0
     }
 
-    /// Events discarded as provably stale rather than delivered. The
-    /// two backends may disagree on `len` (the wheel drops stale events
-    /// mid-cascade, the heap only at the head) but always agree on
-    /// `len() + stale_dropped()` — the exact conservation law
-    /// `tests/properties.rs` checks.
+    /// Events discarded as provably stale rather than delivered.
+    /// `len() + stale_dropped()` equals the heap reference's, whichever
+    /// point each drops an event at — the conservation law this
+    /// module's tests check.
     pub fn stale_dropped(&self) -> u64 {
         self.stale_dropped
     }
@@ -615,6 +534,11 @@ impl EventQueue {
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     fn t(us: u64) -> Instant {
@@ -624,6 +548,86 @@ mod tests {
     fn prewarm(i: u32) -> EventKind {
         EventKind::PrewarmFire {
             function: FunctionId::new(i),
+        }
+    }
+
+    impl Ord for Event {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // BinaryHeap is a max-heap; invert so the earliest event pops
+            // first, with the insertion sequence breaking ties.
+            (other.time, other.seq).cmp(&(self.time, self.seq))
+        }
+    }
+
+    impl PartialOrd for Event {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The original `BinaryHeap` future-event list, kept as the naive
+    /// reference the wheel is checked against: the same three sequence
+    /// bands and generation stamps, but a plain heap that filters stale
+    /// events only when they reach the head.
+    struct HeapQueue {
+        heap: BinaryHeap<Event>,
+        /// Next sequence number of the arrival, runtime and ladder band.
+        next_seq: [u64; 3],
+        len: usize,
+        stale_dropped: u64,
+        stamps: Vec<Stamp>,
+    }
+
+    impl HeapQueue {
+        fn new() -> Self {
+            HeapQueue {
+                heap: BinaryHeap::new(),
+                next_seq: [0, RUNTIME_SEQ_BASE, LADDER_SEQ_BASE],
+                len: 0,
+                stale_dropped: 0,
+                stamps: Vec::new(),
+            }
+        }
+
+        fn schedule(&mut self, band: usize, time: Instant, kind: EventKind) {
+            if let Some((container, epoch)) = kind.guard() {
+                self.note(container, epoch);
+            }
+            let seq = self.next_seq[band];
+            self.next_seq[band] += 1;
+            self.len += 1;
+            self.heap.push(Event { time, seq, kind });
+        }
+
+        fn push_arrival(&mut self, time: Instant, function: FunctionId) {
+            self.schedule(0, time, EventKind::Arrival { function });
+        }
+
+        fn push(&mut self, time: Instant, kind: EventKind) {
+            self.schedule(1, time, kind);
+        }
+
+        fn push_ladder(&mut self, time: Instant, kind: EventKind) {
+            self.schedule(2, time, kind);
+        }
+
+        fn note(&mut self, container: ContainerId, epoch: u64) {
+            note_stamp(&mut self.stamps, container, epoch);
+        }
+
+        fn retire(&mut self, container: ContainerId) {
+            self.note(container, u64::MAX);
+        }
+
+        fn pop(&mut self) -> Option<Event> {
+            loop {
+                let event = self.heap.pop()?;
+                self.len -= 1;
+                if !stale(&self.stamps, &event) {
+                    return Some(event);
+                }
+                self.stale_dropped += 1;
+            }
         }
     }
 
@@ -732,10 +736,10 @@ mod tests {
     }
 
     #[test]
-    fn backends_pop_identically() {
+    fn wheel_pops_like_the_heap_reference() {
         let times = [7u64, 7, 0, 3, 100_000, 64, 65, 63, 4096, 7, 1 << 40];
-        let mut wheel = EventQueue::with_backend(QueueKind::TimerWheel);
-        let mut heap = EventQueue::with_backend(QueueKind::BinaryHeap);
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapQueue::new();
         for (i, &us) in times.iter().enumerate() {
             wheel.push(t(us), prewarm(i as u32));
             heap.push(t(us), prewarm(i as u32));
@@ -815,28 +819,26 @@ mod tests {
 
     #[test]
     fn pop_tick_drains_exactly_one_timestamp() {
-        for kind in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            let mut q = EventQueue::with_backend(kind);
-            q.push(t(10), prewarm(0));
-            q.push(t(20), prewarm(1));
-            q.push(t(10), prewarm(2));
-            q.push(t(10), prewarm(3));
-            let mut batch = Vec::new();
-            assert_eq!(q.pop_tick(&mut batch), Some(t(10)));
-            let fns: Vec<u32> = batch
-                .iter()
-                .map(|e| match e.kind {
-                    EventKind::PrewarmFire { function } => function.index() as u32,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(fns, vec![0, 2, 3]);
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop_tick(&mut batch), Some(t(20)));
-            assert_eq!(batch.len(), 1);
-            assert_eq!(q.pop_tick(&mut batch), None);
-            assert!(batch.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.push(t(10), prewarm(0));
+        q.push(t(20), prewarm(1));
+        q.push(t(10), prewarm(2));
+        q.push(t(10), prewarm(3));
+        let mut batch = Vec::new();
+        assert_eq!(q.pop_tick(&mut batch), Some(t(10)));
+        let fns: Vec<u32> = batch
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::PrewarmFire { function } => function.index() as u32,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(fns, vec![0, 2, 3]);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_tick(&mut batch), Some(t(20)));
+        assert_eq!(batch.len(), 1);
+        assert_eq!(q.pop_tick(&mut batch), None);
+        assert!(batch.is_empty());
     }
 
     #[test]
@@ -844,42 +846,38 @@ mod tests {
         // A handler processing tick T may schedule new work at T; it
         // must surface in the *next* batch, after everything already
         // drained — the same order per-event popping would produce.
-        for kind in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            let mut q = EventQueue::with_backend(kind);
-            q.push(t(10), prewarm(0));
-            let mut batch = Vec::new();
-            assert_eq!(q.pop_tick(&mut batch), Some(t(10)));
-            assert_eq!(batch.len(), 1);
-            q.push(t(10), prewarm(1));
-            q.push(t(10), prewarm(2));
-            assert_eq!(q.pop_tick(&mut batch), Some(t(10)));
-            assert_eq!(batch.len(), 2);
-        }
+        let mut q = EventQueue::new();
+        q.push(t(10), prewarm(0));
+        let mut batch = Vec::new();
+        assert_eq!(q.pop_tick(&mut batch), Some(t(10)));
+        assert_eq!(batch.len(), 1);
+        q.push(t(10), prewarm(1));
+        q.push(t(10), prewarm(2));
+        assert_eq!(q.pop_tick(&mut batch), Some(t(10)));
+        assert_eq!(batch.len(), 2);
     }
 
     #[test]
     fn pop_tick_drops_stale_events() {
         let c = ContainerId::from_parts(1, 3);
-        for kind in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            let mut q = EventQueue::with_backend(kind);
-            q.push(
-                t(10),
-                EventKind::IdleTimeout {
-                    container: c,
-                    epoch: 0,
-                },
-            );
-            q.push(t(10), prewarm(7));
-            q.note(c, 5);
-            let mut batch = Vec::new();
-            assert_eq!(q.pop_tick(&mut batch), Some(t(10)));
-            assert_eq!(batch.len(), 1);
-            assert!(matches!(
-                batch[0].kind,
-                EventKind::PrewarmFire { function } if function.index() == 7
-            ));
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.push(
+            t(10),
+            EventKind::IdleTimeout {
+                container: c,
+                epoch: 0,
+            },
+        );
+        q.push(t(10), prewarm(7));
+        q.note(c, 5);
+        let mut batch = Vec::new();
+        assert_eq!(q.pop_tick(&mut batch), Some(t(10)));
+        assert_eq!(batch.len(), 1);
+        assert!(matches!(
+            batch[0].kind,
+            EventKind::PrewarmFire { function } if function.index() == 7
+        ));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -913,25 +911,22 @@ mod tests {
     fn arrivals_sort_before_runtime_events_at_a_tick() {
         // Whether an arrival is pushed before or after the runtime
         // events sharing its tick, it must pop first — the low seq
-        // band guarantees it on both backends.
-        for kind in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            let mut q = EventQueue::with_backend(kind);
-            q.push(t(10), prewarm(1));
-            q.push(t(10), prewarm(2));
-            q.push_arrival(t(10), FunctionId::new(7));
-            let order: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
-            assert_eq!(
-                order,
-                vec![
-                    EventKind::Arrival {
-                        function: FunctionId::new(7)
-                    },
-                    prewarm(1),
-                    prewarm(2),
-                ],
-                "{kind:?}"
-            );
-        }
+        // band guarantees it.
+        let mut q = EventQueue::new();
+        q.push(t(10), prewarm(1));
+        q.push(t(10), prewarm(2));
+        q.push_arrival(t(10), FunctionId::new(7));
+        let order: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
+        assert_eq!(
+            order,
+            vec![
+                EventKind::Arrival {
+                    function: FunctionId::new(7)
+                },
+                prewarm(1),
+                prewarm(2),
+            ]
+        );
     }
 
     #[test]
@@ -939,66 +934,61 @@ mod tests {
         // The streaming pattern: peek the head tick, feed the arrivals
         // at or before it, dispatch. The pop order must be identical to
         // pushing every arrival up front.
-        for kind in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            let mut up_front = EventQueue::with_backend(kind);
-            let mut lazy = EventQueue::with_backend(kind);
-            let arrivals = [5u64, 10, 10, 20];
-            for (i, &us) in arrivals.iter().enumerate() {
-                up_front.push_arrival(t(us), FunctionId::new(i as u32));
-            }
-            for q in [&mut up_front, &mut lazy] {
-                q.push(t(10), prewarm(90));
-                q.push(t(20), prewarm(91));
-            }
-            let mut popped_up_front = Vec::new();
-            let mut popped_lazy = Vec::new();
-            let mut fed = arrivals.iter().enumerate();
-            let mut pending = fed.next();
-            loop {
-                // Keep the earliest unfed arrival at/above the head.
-                if let Some((i, &us)) = pending {
-                    lazy.push_arrival(t(us), FunctionId::new(i as u32));
-                    pending = fed.next();
-                }
-                let Some(head) = lazy.peek_time() else { break };
-                while let Some((i, &us)) = pending {
-                    if t(us) > head {
-                        break;
-                    }
-                    lazy.push_arrival(t(us), FunctionId::new(i as u32));
-                    pending = fed.next();
-                }
-                popped_lazy.push(lazy.pop().expect("peeked head exists"));
-            }
-            while let Some(e) = up_front.pop() {
-                popped_up_front.push(e);
-            }
-            assert_eq!(popped_lazy, popped_up_front, "{kind:?}");
+        let mut up_front = EventQueue::new();
+        let mut lazy = EventQueue::new();
+        let arrivals = [5u64, 10, 10, 20];
+        for (i, &us) in arrivals.iter().enumerate() {
+            up_front.push_arrival(t(us), FunctionId::new(i as u32));
         }
+        for q in [&mut up_front, &mut lazy] {
+            q.push(t(10), prewarm(90));
+            q.push(t(20), prewarm(91));
+        }
+        let mut popped_up_front = Vec::new();
+        let mut popped_lazy = Vec::new();
+        let mut fed = arrivals.iter().enumerate();
+        let mut pending = fed.next();
+        loop {
+            // Keep the earliest unfed arrival at/above the head.
+            if let Some((i, &us)) = pending {
+                lazy.push_arrival(t(us), FunctionId::new(i as u32));
+                pending = fed.next();
+            }
+            let Some(head) = lazy.peek_time() else { break };
+            while let Some((i, &us)) = pending {
+                if t(us) > head {
+                    break;
+                }
+                lazy.push_arrival(t(us), FunctionId::new(i as u32));
+                pending = fed.next();
+            }
+            popped_lazy.push(lazy.pop().expect("peeked head exists"));
+        }
+        while let Some(e) = up_front.pop() {
+            popped_up_front.push(e);
+        }
+        assert_eq!(popped_lazy, popped_up_front);
     }
 
     #[test]
     fn ladder_band_sorts_last_at_a_tick() {
         // A ladder event at a tick pops after every arrival and every
         // runtime event at that tick, even when pushed first.
-        for kind in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            let mut q = EventQueue::with_backend(kind);
-            q.push_ladder(t(10), EventKind::LadderWake);
-            q.push(t(10), prewarm(1));
-            q.push_arrival(t(10), FunctionId::new(7));
-            let order: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
-            assert_eq!(
-                order,
-                vec![
-                    EventKind::Arrival {
-                        function: FunctionId::new(7)
-                    },
-                    prewarm(1),
-                    EventKind::LadderWake,
-                ],
-                "{kind:?}"
-            );
-        }
+        let mut q = EventQueue::new();
+        q.push_ladder(t(10), EventKind::LadderWake);
+        q.push(t(10), prewarm(1));
+        q.push_arrival(t(10), FunctionId::new(7));
+        let order: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
+        assert_eq!(
+            order,
+            vec![
+                EventKind::Arrival {
+                    function: FunctionId::new(7)
+                },
+                prewarm(1),
+                EventKind::LadderWake,
+            ]
+        );
     }
 
     #[test]
@@ -1015,65 +1005,201 @@ mod tests {
     }
 
     #[test]
-    fn stale_drop_accounting_is_exact_across_backends() {
+    fn stale_drop_accounting_matches_the_heap_reference() {
         // The wheel drops stale events mid-cascade, the heap at the
         // head, so `len` alone diverges — but delivered events plus
         // `len + stale_dropped` is conserved identically.
         let c = ContainerId::from_parts(1, 2);
-        let mut wheel = EventQueue::with_backend(QueueKind::TimerWheel);
-        let mut heap = EventQueue::with_backend(QueueKind::BinaryHeap);
-        for q in [&mut wheel, &mut heap] {
-            for i in 0..4u64 {
-                q.push(
-                    t(1_000_000 + i),
-                    EventKind::IdleTimeout {
-                        container: c,
-                        epoch: i,
-                    },
-                );
-            }
-            q.push(t(5), prewarm(0));
-            q.push(t(2_000_000), prewarm(1));
-            // Invalidate epochs < 3; three of the four timeouts die.
-            q.note(c, 3);
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapQueue::new();
+        for i in 0..4u64 {
+            let kind = EventKind::IdleTimeout {
+                container: c,
+                epoch: i,
+            };
+            wheel.push(t(1_000_000 + i), kind);
+            heap.push(t(1_000_000 + i), kind);
         }
+        wheel.push(t(5), prewarm(0));
+        heap.push(t(5), prewarm(0));
+        wheel.push(t(2_000_000), prewarm(1));
+        heap.push(t(2_000_000), prewarm(1));
+        // Invalidate epochs < 3; three of the four timeouts die.
+        wheel.note(c, 3);
+        heap.note(c, 3);
         loop {
             let (a, b) = (wheel.pop(), heap.pop());
             assert_eq!(a, b);
             assert_eq!(
                 wheel.len() as u64 + wheel.stale_dropped(),
-                heap.len() as u64 + heap.stale_dropped(),
+                heap.len as u64 + heap.stale_dropped,
             );
             if a.is_none() {
                 break;
             }
         }
         assert_eq!(wheel.stale_dropped(), 3);
-        assert_eq!(heap.stale_dropped(), 3);
+        assert_eq!(heap.stale_dropped, 3);
     }
 
     #[test]
     fn peek_time_reports_head_and_drops_stale_heads() {
         let c = ContainerId::new(4);
-        for kind in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            let mut q = EventQueue::with_backend(kind);
-            assert_eq!(q.peek_time(), None);
-            q.push(
-                t(10),
-                EventKind::IdleTimeout {
-                    container: c,
-                    epoch: 0,
-                },
-            );
-            q.push(t(30), prewarm(1));
-            assert_eq!(q.peek_time(), Some(t(10)), "{kind:?}");
-            // Invalidate the head: peek must skip to the live event and
-            // discard the stale one for good.
-            q.note(c, 5);
-            assert_eq!(q.peek_time(), Some(t(30)), "{kind:?}");
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop().map(|e| e.time), Some(t(30)));
-            assert!(q.is_empty());
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.push(
+            t(10),
+            EventKind::IdleTimeout {
+                container: c,
+                epoch: 0,
+            },
+        );
+        q.push(t(30), prewarm(1));
+        assert_eq!(q.peek_time(), Some(t(10)));
+        // Invalidate the head: peek must skip to the live event and
+        // discard the stale one for good.
+        q.note(c, 5);
+        assert_eq!(q.peek_time(), Some(t(30)));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().map(|e| e.time), Some(t(30)));
+        assert!(q.is_empty());
+    }
+
+    proptest! {
+        /// The timer wheel must pop the exact event sequence of the heap
+        /// reference under arbitrary interleavings of schedules,
+        /// generation-stamp invalidations (note/retire), and pops: same
+        /// events, same times, same tie-breaking, same stale drops.
+        #[test]
+        fn wheel_matches_heap_reference(
+            ops in prop::collection::vec((0u8..6, any::<u64>(), any::<u64>(), any::<u64>()), 1..200),
+        ) {
+            let mut wheel = EventQueue::new();
+            let mut heap = HeapQueue::new();
+            // The wheel cannot schedule into the past. Its time frontier
+            // is the last popped event — including events dropped as
+            // stale inside `pop`, so after a `pop` that returns `None`
+            // the frontier may sit at the latest timestamp ever
+            // scheduled.
+            let mut now = 0u64;
+            let mut high = 0u64;
+            let ctr = |a: u64, b: u64| ContainerId::from_parts((a % 4) as u32, (b % 8) as u32);
+            for (op, a, b, c) in ops {
+                match op {
+                    // Schedule one event of every kind, at spreads from
+                    // "this very microsecond" to minutes out (crossing
+                    // several wheel levels).
+                    0..=2 => {
+                        let time = t(now + a % 100_000_000);
+                        high = high.max(time.as_micros());
+                        let kind = match b % 5 {
+                            0 => EventKind::Arrival { function: FunctionId::new((c % 6) as u32) },
+                            1 => EventKind::InitComplete { container: ctr(b, c), epoch: a % 4 },
+                            2 => EventKind::ExecComplete { container: ctr(b, c) },
+                            3 => EventKind::IdleTimeout { container: ctr(b, c), epoch: a % 4 },
+                            _ => prewarm((c % 6) as u32),
+                        };
+                        wheel.push(time, kind);
+                        heap.push(time, kind);
+                    }
+                    // Invalidate stale epochs / whole containers.
+                    3 => {
+                        wheel.note(ctr(a, b), c % 5);
+                        heap.note(ctr(a, b), c % 5);
+                    }
+                    4 => {
+                        wheel.retire(ctr(a, b));
+                        heap.retire(ctr(a, b));
+                    }
+                    // Pop a few from both and compare exactly.
+                    _ => {
+                        for _ in 0..=(b % 3) {
+                            let (x, y) = (wheel.pop(), heap.pop());
+                            prop_assert_eq!(&x, &y);
+                            match x {
+                                Some(e) => now = e.time.as_micros(),
+                                None => {
+                                    now = high;
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                }
+                // The wheel may discard stale events mid-cascade, before
+                // the heap's pop-time filter would; its len can only run
+                // at or below the heap's. The slack is exactly the stale
+                // drops each side has already counted: `len +
+                // stale_dropped` is conserved.
+                prop_assert!(wheel.len() <= heap.len);
+                prop_assert_eq!(
+                    wheel.len() as u64 + wheel.stale_dropped(),
+                    heap.len as u64 + heap.stale_dropped,
+                    "live + stale-dropped must be conserved"
+                );
+            }
+            // Drain both to the end: the full remaining sequences agree.
+            loop {
+                let (x, y) = (wheel.pop(), heap.pop());
+                prop_assert_eq!(&x, &y);
+                if x.is_none() {
+                    break;
+                }
+            }
+            prop_assert!(wheel.is_empty() && heap.len == 0);
+            prop_assert_eq!(wheel.stale_dropped(), heap.stale_dropped);
+        }
+
+        /// `pop_tick` must drain each timestamp's events in the exact
+        /// order per-event `pop` yields them — on the wheel itself and on
+        /// the heap reference — under arbitrary interleavings of the
+        /// three sequence bands (arrival, runtime, ladder) at shared
+        /// ticks.
+        #[test]
+        fn pop_tick_same_tick_order_matches_per_event_pops(
+            ops in prop::collection::vec((0u8..4, 0u64..40, any::<u64>()), 1..120),
+        ) {
+            let mut batched = EventQueue::new();
+            let mut single = EventQueue::new();
+            let mut heap = HeapQueue::new();
+            for (op, tick, x) in ops {
+                // Coarse timestamps force heavy tick sharing.
+                let time = t(tick * 1_000);
+                let container = ContainerId::from_parts((x % 3) as u32, 0);
+                match op {
+                    0 => {
+                        let function = FunctionId::new((x % 5) as u32);
+                        batched.push_arrival(time, function);
+                        single.push_arrival(time, function);
+                        heap.push_arrival(time, function);
+                    }
+                    1 | 2 => {
+                        let kind = if op == 1 {
+                            EventKind::ExecComplete { container }
+                        } else {
+                            EventKind::IdleTimeout { container, epoch: 0 }
+                        };
+                        batched.push(time, kind);
+                        single.push(time, kind);
+                        heap.push(time, kind);
+                    }
+                    _ => {
+                        batched.push_ladder(time, EventKind::LadderWake);
+                        single.push_ladder(time, EventKind::LadderWake);
+                        heap.push_ladder(time, EventKind::LadderWake);
+                    }
+                }
+            }
+            let mut batch = Vec::new();
+            while let Some(tick) = batched.pop_tick(&mut batch) {
+                for event in &batch {
+                    prop_assert_eq!(event.time, tick);
+                    prop_assert_eq!(single.pop().as_ref(), Some(event));
+                    prop_assert_eq!(heap.pop().as_ref(), Some(event));
+                }
+            }
+            prop_assert!(single.pop().is_none());
+            prop_assert!(heap.pop().is_none());
         }
     }
 }

@@ -25,7 +25,14 @@
 //! let catalog = paper_catalog();
 //! let trace = azure_like_trace(catalog.len(), &AzureConfig { hours: 1, ..AzureConfig::default() });
 //! let mut policy = RainbowCake::with_defaults(&catalog)?;
-//! let report = run(&catalog, &mut policy, &trace, &SimConfig::default());
+//! let report = run(
+//!     &catalog,
+//!     &mut policy,
+//!     trace.iter().copied(),
+//!     trace.horizon(),
+//!     &SimConfig::default(),
+//!     None,
+//! );
 //! assert!(report.records.len() > 0);
 //! # Ok(())
 //! # }
@@ -43,8 +50,5 @@ pub mod event;
 pub mod pool;
 pub mod tiered;
 
-pub use config::{CheckpointConfig, DispatchMode, SimConfig, TimerMode};
-pub use engine::{
-    run, run_streaming, run_streaming_counted, run_streaming_with_profile, run_with_profile,
-    EngineProfile,
-};
+pub use config::{CheckpointConfig, SimConfig};
+pub use engine::{run, EngineProfile};

@@ -33,7 +33,14 @@ fn main() -> Result<(), rainbowcake::core::error::ConfigError> {
         "policy", "fn-avg st (ms)", "p99 E2E (s)", "waste (GB*s)", "cold"
     );
     for policy in policies.iter_mut() {
-        let report = run(&catalog, policy.as_mut(), &trace, &config);
+        let report = run(
+            &catalog,
+            policy.as_mut(),
+            trace.iter().copied(),
+            trace.horizon(),
+            &config,
+            None,
+        );
         let rows = report.per_function();
         let fn_avg = rows
             .iter()

@@ -26,7 +26,14 @@ fn main() -> Result<(), rainbowcake::core::error::ConfigError> {
             Box::new(RainbowCake::with_defaults(&catalog)?),
         ];
         for policy in policies.iter_mut() {
-            let report = run(&catalog, policy.as_mut(), &trace, &SimConfig::default());
+            let report = run(
+                &catalog,
+                policy.as_mut(),
+                trace.iter().copied(),
+                trace.horizon(),
+                &SimConfig::default(),
+                None,
+            );
             rows.push(format!(
                 "{:.0} / {:.0}",
                 report.total_startup().as_secs_f64(),

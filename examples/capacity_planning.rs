@@ -30,7 +30,14 @@ fn main() -> Result<(), rainbowcake::core::error::ConfigError> {
             Box::new(OpenWhiskDefault::new()),
         ];
         for policy in policies.iter_mut() {
-            let report = run(&catalog, policy.as_mut(), &trace, &config);
+            let report = run(
+                &catalog,
+                policy.as_mut(),
+                trace.iter().copied(),
+                trace.horizon(),
+                &config,
+                None,
+            );
             cells.push(report.total_startup().as_secs_f64());
         }
         println!(

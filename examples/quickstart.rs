@@ -27,7 +27,14 @@ fn main() -> Result<(), rainbowcake::core::error::ConfigError> {
     let mut policy = RainbowCake::with_defaults(&catalog)?;
 
     // 4. Run it on a simulated 240 GB worker.
-    let report = run(&catalog, &mut policy, &trace, &SimConfig::default());
+    let report = run(
+        &catalog,
+        &mut policy,
+        trace.iter().copied(),
+        trace.horizon(),
+        &SimConfig::default(),
+        None,
+    );
 
     // 5. What happened?
     println!("policy: {}", report.policy);

@@ -27,7 +27,14 @@
 //! let catalog = paper_catalog();
 //! let trace = azure_like_trace(catalog.len(), &AzureConfig { hours: 1, ..AzureConfig::default() });
 //! let mut policy = RainbowCake::with_defaults(&catalog)?;
-//! let report = run(&catalog, &mut policy, &trace, &SimConfig::default());
+//! let report = run(
+//!     &catalog,
+//!     &mut policy,
+//!     trace.iter().copied(),
+//!     trace.horizon(),
+//!     &SimConfig::default(),
+//!     None,
+//! );
 //! println!("{} invocations, {} cold starts, {} wasted",
 //!          report.records.len(), report.cold_starts(), report.total_waste());
 //! # Ok(())

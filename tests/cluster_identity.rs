@@ -3,37 +3,22 @@
 //! (router thread feeding one engine thread per shard over bounded
 //! queues) must produce `ClusterReport` JSON that is **byte-identical**
 //! to [`run_cluster`] (materialize every sub-trace, run the workers
-//! sequentially) — at shard counts 1, 2, 4 and 8, across both event-
-//! queue backends.
+//! sequentially) at shard counts 1, 2, 4 and 8.
 //!
-//! Together with `tests/event_core_identity.rs` (which pins dispatch
-//! modes and the future-event list) this extends the repo's
-//! byte-identity discipline across the PR that moved cluster execution
-//! onto concurrent shard threads: determinism comes from routing order,
-//! per-shard subsequence order, and worker-index-order reduction — not
-//! from scheduling luck.
+//! Determinism comes from routing order, per-shard subsequence order,
+//! and worker-index-order reduction — not from scheduling luck.
+//! `tests/golden_reports.rs` pins the bytes themselves.
 
 use rainbowcake::core::policy::Policy;
 use rainbowcake::sim::cluster::{
     run_cluster, run_cluster_streaming, ClusterReport, LocalitySharingLoad,
 };
-use rainbowcake::sim::event::QueueKind;
-use rainbowcake::sim::TimerMode;
 use rainbowcake_bench::{make_policy, Testbed, BASELINE_NAMES};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The sequential materialized reference for `name` on `bed`.
-fn sequential_timers(
-    bed: &Testbed,
-    name: &str,
-    kind: QueueKind,
-    timers: TimerMode,
-    shards: usize,
-) -> String {
-    let mut config = bed.config.clone();
-    config.event_queue = kind;
-    config.timer_mode = timers;
+fn sequential(bed: &Testbed, name: &str, shards: usize) -> ClusterReport {
     let mut router = LocalitySharingLoad::default();
     let mut factory = || -> Box<dyn Policy> { make_policy(name, &bed.catalog) };
     run_cluster(
@@ -41,28 +26,13 @@ fn sequential_timers(
         &mut factory,
         &bed.trace,
         shards,
-        &config,
+        &bed.config,
         &mut router,
     )
-    .to_json()
-}
-
-/// [`sequential_timers`] at the default (lazy) timer mode.
-fn sequential(bed: &Testbed, name: &str, kind: QueueKind, shards: usize) -> String {
-    sequential_timers(bed, name, kind, TimerMode::default(), shards)
 }
 
 /// The sharded streaming pipeline for `name` on `bed`.
-fn streamed_timers(
-    bed: &Testbed,
-    name: &str,
-    kind: QueueKind,
-    timers: TimerMode,
-    shards: usize,
-) -> ClusterReport {
-    let mut config = bed.config.clone();
-    config.event_queue = kind;
-    config.timer_mode = timers;
+fn streamed(bed: &Testbed, name: &str, shards: usize) -> ClusterReport {
     let mut router = LocalitySharingLoad::default();
     let factory = || -> Box<dyn Policy> { make_policy(name, &bed.catalog) };
     run_cluster_streaming(
@@ -71,73 +41,25 @@ fn streamed_timers(
         bed.trace.iter().copied(),
         bed.trace.horizon(),
         shards,
-        &config,
+        &bed.config,
         &mut router,
     )
     .report
 }
 
-/// [`streamed_timers`] at the default (lazy) timer mode.
-fn streamed(bed: &Testbed, name: &str, kind: QueueKind, shards: usize) -> ClusterReport {
-    streamed_timers(bed, name, kind, TimerMode::default(), shards)
-}
-
 #[test]
-fn full_suite_is_byte_identical_across_shard_counts_and_backends() {
+fn full_suite_is_byte_identical_across_shard_counts() {
     // Two paper hours keep the debug-build matrix (6 policies x 4 shard
-    // counts x 2 backends x 2 pipelines) inside CI budget while every
-    // shard still sees thousands of arrivals.
+    // counts x 2 pipelines) inside CI budget while every shard still
+    // sees thousands of arrivals.
     let bed = Testbed::paper_hours(2);
     for name in BASELINE_NAMES {
         for shards in SHARD_COUNTS {
-            // The heap backend run sequentially is the behavioural
-            // reference; the wheel must agree with it exactly, and the
-            // streaming pipeline must agree under both backends.
-            let reference = sequential(&bed, name, QueueKind::BinaryHeap, shards);
             assert_eq!(
-                sequential(&bed, name, QueueKind::TimerWheel, shards),
-                reference,
-                "{name}: sequential timer wheel diverged at {shards} shards"
+                streamed(&bed, name, shards).to_json(),
+                sequential(&bed, name, shards).to_json(),
+                "{name}: streaming pipeline diverged at {shards} shards"
             );
-            for kind in [QueueKind::BinaryHeap, QueueKind::TimerWheel] {
-                assert_eq!(
-                    streamed(&bed, name, kind, shards).to_json(),
-                    reference,
-                    "{name}: streaming pipeline diverged at {shards} shards ({kind:?})"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn lazy_timers_match_eager_across_shards_and_backends() {
-    // The timer-mode axis through the cluster pipeline: RainbowCake is
-    // the policy that actually exercises the three-rung ladder, so its
-    // lazy runs must match the eager per-rung chain at every shard
-    // count, on both backends, sequentially and streamed.
-    let bed = Testbed::paper_hours(1);
-    for shards in SHARD_COUNTS {
-        let reference = sequential_timers(
-            &bed,
-            "RainbowCake",
-            QueueKind::BinaryHeap,
-            TimerMode::Eager,
-            shards,
-        );
-        for kind in [QueueKind::BinaryHeap, QueueKind::TimerWheel] {
-            for timers in [TimerMode::Lazy, TimerMode::Eager] {
-                assert_eq!(
-                    sequential_timers(&bed, "RainbowCake", kind, timers, shards),
-                    reference,
-                    "sequential timer modes diverged at {shards} shards ({kind:?}, {timers:?})"
-                );
-                assert_eq!(
-                    streamed_timers(&bed, "RainbowCake", kind, timers, shards).to_json(),
-                    reference,
-                    "streamed timer modes diverged at {shards} shards ({kind:?}, {timers:?})"
-                );
-            }
         }
     }
 }
@@ -149,22 +71,9 @@ fn merged_streaming_report_matches_merged_sequential() {
     // same single-node rollup as merging the sequential pipeline's.
     let bed = Testbed::paper_hours(1);
     for shards in SHARD_COUNTS {
-        let report = streamed(&bed, "RainbowCake", QueueKind::TimerWheel, shards);
-        let mut config = bed.config.clone();
-        config.event_queue = QueueKind::TimerWheel;
-        let mut router = LocalitySharingLoad::default();
-        let mut factory = || -> Box<dyn Policy> { make_policy("RainbowCake", &bed.catalog) };
-        let sequential = run_cluster(
-            &bed.catalog,
-            &mut factory,
-            &bed.trace,
-            shards,
-            &config,
-            &mut router,
-        );
         assert_eq!(
-            report.merged().to_json(),
-            sequential.merged().to_json(),
+            streamed(&bed, "RainbowCake", shards).merged().to_json(),
+            sequential(&bed, "RainbowCake", shards).merged().to_json(),
             "merged reduction diverged at {shards} shards"
         );
     }

@@ -1,0 +1,59 @@
+//! Golden report digests: the FNV-64 of every report's exact JSON bytes
+//! on the standard testbeds, checked in as `tests/golden/reports.digests`.
+//!
+//! * `suite <policy>` — `Testbed::paper_8h`, every §7.1 policy, run
+//!   sequentially through the engine;
+//! * `cluster RainbowCake <shards>` — `Testbed::paper_hours(2)` through
+//!   the sharded streaming cluster at 1/2/4/8 shards.
+//!
+//! Refactors must leave this file untouched. A deliberate change to the
+//! simulated semantics shows up as a reviewed diff of the fixture: on a
+//! mismatch the test prints the complete replacement file.
+
+use rainbowcake::core::policy::Policy;
+use rainbowcake::sim::cluster::{run_cluster_streaming, LocalitySharingLoad};
+use rainbowcake_bench::{make_policy, Testbed, BASELINE_NAMES};
+
+const GOLDEN: &str = include_str!("golden/reports.digests");
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn reports_match_golden_digests() {
+    let mut lines = Vec::new();
+    let bed = Testbed::paper_8h();
+    for (name, report) in BASELINE_NAMES.iter().zip(bed.run_all_sequential()) {
+        lines.push(format!(
+            "suite {name} {:016x}",
+            fnv64(report.to_json().as_bytes())
+        ));
+    }
+    let bed = Testbed::paper_hours(2);
+    let factory = || -> Box<dyn Policy> { make_policy("RainbowCake", &bed.catalog) };
+    for shards in [1usize, 2, 4, 8] {
+        let report = run_cluster_streaming(
+            &bed.catalog,
+            &factory,
+            bed.trace.iter().copied(),
+            bed.trace.horizon(),
+            shards,
+            &bed.config,
+            &mut LocalitySharingLoad::default(),
+        )
+        .report;
+        lines.push(format!(
+            "cluster RainbowCake {shards} {:016x}",
+            fnv64(report.to_json().as_bytes())
+        ));
+    }
+    let actual = lines.join("\n") + "\n";
+    assert!(
+        actual == GOLDEN,
+        "report digests diverged from tests/golden/reports.digests; \
+         if the change in simulated behaviour is intended, replace the file with:\n{actual}"
+    );
+}

@@ -17,6 +17,23 @@ fn testbed(hours: u64) -> (Catalog, Trace, SimConfig) {
     (catalog, trace, SimConfig::default())
 }
 
+/// Runs `policy` over the whole of `trace`.
+fn run_trace(
+    catalog: &Catalog,
+    policy: &mut dyn Policy,
+    trace: &Trace,
+    config: &SimConfig,
+) -> RunReport {
+    run(
+        catalog,
+        policy,
+        trace.iter().copied(),
+        trace.horizon(),
+        config,
+        None,
+    )
+}
+
 fn all_policies(catalog: &Catalog) -> Vec<Box<dyn Policy>> {
     vec![
         Box::new(OpenWhiskDefault::new()),
@@ -32,7 +49,7 @@ fn all_policies(catalog: &Catalog) -> Vec<Box<dyn Policy>> {
 fn every_policy_completes_every_invocation() {
     let (catalog, trace, config) = testbed(1);
     for mut policy in all_policies(&catalog) {
-        let report = run(&catalog, policy.as_mut(), &trace, &config);
+        let report = run_trace(&catalog, policy.as_mut(), &trace, &config);
         assert_eq!(
             report.records.len(),
             trace.len(),
@@ -46,7 +63,7 @@ fn every_policy_completes_every_invocation() {
 fn end_to_end_latency_decomposes() {
     let (catalog, trace, config) = testbed(1);
     let mut policy = RainbowCake::with_defaults(&catalog).unwrap();
-    let report = run(&catalog, &mut policy, &trace, &config);
+    let report = run_trace(&catalog, &mut policy, &trace, &config);
     for r in &report.records {
         assert_eq!(r.e2e(), r.queue + r.startup + r.exec);
         assert!(r.startup > Micros::ZERO, "startup can never be free");
@@ -65,7 +82,7 @@ fn full_stack_runs_are_deterministic() {
     let reports: Vec<RunReport> = (0..2)
         .map(|_| {
             let mut policy = RainbowCake::with_defaults(&catalog).unwrap();
-            run(&catalog, &mut policy, &trace, &config)
+            run_trace(&catalog, &mut policy, &trace, &config)
         })
         .collect();
     assert_eq!(reports[0].records, reports[1].records);
@@ -85,9 +102,9 @@ fn faascache_has_fewest_colds_but_most_waste() {
     // FaasCache's on some sampled traces.
     let (catalog, trace, config) = testbed(2);
     let mut fc = FaasCache::new();
-    let fc_report = run(&catalog, &mut fc, &trace, &config);
+    let fc_report = run_trace(&catalog, &mut fc, &trace, &config);
     for mut policy in all_policies(&catalog) {
-        let report = run(&catalog, policy.as_mut(), &trace, &config);
+        let report = run_trace(&catalog, policy.as_mut(), &trace, &config);
         assert!(
             report.policy == "SEUSS" || fc_report.cold_starts() <= report.cold_starts(),
             "FaasCache ({}) should not have more colds than {} ({})",
@@ -111,7 +128,7 @@ fn rainbowcake_beats_full_caching_and_sharing_on_waste() {
     // up-front pre-warming cost and amortizes it over the day.
     let (catalog, trace, config) = testbed(8);
     let mut rc = RainbowCake::with_defaults(&catalog).unwrap();
-    let rc_waste = run(&catalog, &mut rc, &trace, &config)
+    let rc_waste = run_trace(&catalog, &mut rc, &trace, &config)
         .total_waste()
         .value();
     for name_and_policy in [
@@ -124,7 +141,7 @@ fn rainbowcake_beats_full_caching_and_sharing_on_waste() {
         ("Pagurus", Box::new(Pagurus::new(catalog.len()))),
     ] {
         let (name, mut policy) = name_and_policy;
-        let waste = run(&catalog, policy.as_mut(), &trace, &config)
+        let waste = run_trace(&catalog, policy.as_mut(), &trace, &config)
             .total_waste()
             .value();
         assert!(
@@ -147,9 +164,9 @@ fn rainbowcake_startup_beats_fixed_keepalive_per_function() {
             / rows.len() as f64
     };
     let mut rc = RainbowCake::with_defaults(&catalog).unwrap();
-    let rc_avg = fn_avg(&run(&catalog, &mut rc, &trace, &config));
+    let rc_avg = fn_avg(&run_trace(&catalog, &mut rc, &trace, &config));
     let mut ow = OpenWhiskDefault::new();
-    let ow_avg = fn_avg(&run(&catalog, &mut ow, &trace, &config));
+    let ow_avg = fn_avg(&run_trace(&catalog, &mut ow, &trace, &config));
     assert!(
         rc_avg < ow_avg,
         "RainbowCake fn-avg startup {rc_avg:.0} ms should beat OpenWhisk {ow_avg:.0} ms"
@@ -160,7 +177,7 @@ fn rainbowcake_startup_beats_fixed_keepalive_per_function() {
 fn layer_sharing_shows_up_in_start_types() {
     let (catalog, trace, config) = testbed(2);
     let mut rc = RainbowCake::with_defaults(&catalog).unwrap();
-    let report = run(&catalog, &mut rc, &trace, &config);
+    let report = run_trace(&catalog, &mut rc, &trace, &config);
     let counts = report.start_type_counts();
     let get = |t: StartType| counts.iter().find(|(x, _)| *x == t).unwrap().1;
     assert!(
@@ -170,7 +187,7 @@ fn layer_sharing_shows_up_in_start_types() {
     assert!(get(StartType::WarmUser) > 0, "no warm starts at all");
     // Full-container baselines never produce layer-shared starts.
     let mut ow = OpenWhiskDefault::new();
-    let ow_report = run(&catalog, &mut ow, &trace, &config);
+    let ow_report = run_trace(&catalog, &mut ow, &trace, &config);
     let ow_counts = ow_report.start_type_counts();
     let ow_get = |t: StartType| ow_counts.iter().find(|(x, _)| *x == t).unwrap().1;
     assert_eq!(ow_get(StartType::SharedLang), 0);
@@ -182,7 +199,7 @@ fn tight_memory_budget_queues_instead_of_crashing() {
     let (catalog, trace, _) = testbed(1);
     let config = SimConfig::with_memory(MemMb::new(500));
     for mut policy in all_policies(&catalog) {
-        let report = run(&catalog, policy.as_mut(), &trace, &config);
+        let report = run_trace(&catalog, policy.as_mut(), &trace, &config);
         // Some queueing may happen but the platform must stay sound.
         assert!(report.records.len() <= trace.len());
         assert!(
@@ -202,13 +219,13 @@ fn tight_memory_budget_queues_instead_of_crashing() {
 fn checkpointing_trades_memory_for_startup() {
     let (catalog, trace, config) = testbed(2);
     let mut base_policy = RainbowCake::with_defaults(&catalog).unwrap();
-    let base = run(&catalog, &mut base_policy, &trace, &config);
+    let base = run_trace(&catalog, &mut base_policy, &trace, &config);
     let cp_config = SimConfig {
         checkpoint: Some(CheckpointConfig::default()),
         ..config
     };
     let mut cp_policy = RainbowCake::with_defaults(&catalog).unwrap();
-    let cp = run(&catalog, &mut cp_policy, &trace, &cp_config);
+    let cp = run_trace(&catalog, &mut cp_policy, &trace, &cp_config);
     assert!(cp.total_startup() < base.total_startup());
     assert!(cp.total_waste().value() > base.total_waste().value());
 }
@@ -217,7 +234,7 @@ fn checkpointing_trades_memory_for_startup() {
 fn ablation_variants_run_and_differ() {
     let (catalog, trace, config) = testbed(1);
     let mut full = RainbowCake::with_defaults(&catalog).unwrap();
-    let full_report = run(&catalog, &mut full, &trace, &config);
+    let full_report = run_trace(&catalog, &mut full, &trace, &config);
     let mut no_layers = RainbowCake::new(
         &catalog,
         RainbowConfig {
@@ -226,7 +243,7 @@ fn ablation_variants_run_and_differ() {
         },
     )
     .unwrap();
-    let nl_report = run(&catalog, &mut no_layers, &trace, &config);
+    let nl_report = run_trace(&catalog, &mut no_layers, &trace, &config);
     // Without layers there are no shared-layer starts at all.
     let counts = nl_report.start_type_counts();
     let get = |t: StartType| counts.iter().find(|(x, _)| *x == t).unwrap().1;
@@ -239,7 +256,7 @@ fn ablation_variants_run_and_differ() {
 fn waste_is_conserved_across_minute_buckets() {
     let (catalog, trace, config) = testbed(1);
     let mut rc = RainbowCake::with_defaults(&catalog).unwrap();
-    let report = run(&catalog, &mut rc, &trace, &config);
+    let report = run_trace(&catalog, &mut rc, &trace, &config);
     let bucket_sum: f64 = report
         .waste
         .per_minute()
@@ -257,7 +274,7 @@ fn cv_traces_drive_all_policies() {
     let catalog = paper_catalog();
     let trace = cv_trace(catalog.len(), &CvTraceConfig::paper(4.0, 3));
     for mut policy in all_policies(&catalog) {
-        let report = run(&catalog, policy.as_mut(), &trace, &SimConfig::default());
+        let report = run_trace(&catalog, policy.as_mut(), &trace, &SimConfig::default());
         assert_eq!(report.records.len(), trace.len(), "{}", report.policy);
     }
 }
@@ -278,9 +295,9 @@ fn burstier_traces_cost_more_startup() {
         }),
     ] {
         let mut a = make();
-        let calm_st = run(&catalog, a.as_mut(), &calm, &SimConfig::default()).total_startup();
+        let calm_st = run_trace(&catalog, a.as_mut(), &calm, &SimConfig::default()).total_startup();
         let mut b = make();
-        let wild_st = run(&catalog, b.as_mut(), &wild, &SimConfig::default()).total_startup();
+        let wild_st = run_trace(&catalog, b.as_mut(), &wild, &SimConfig::default()).total_startup();
         assert!(
             wild_st > calm_st,
             "{name}: CV 4.0 ({wild_st}) should cost more than CV 0.2 ({calm_st})"

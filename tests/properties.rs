@@ -483,145 +483,6 @@ fn assert_pool_indices_match_scan(pool: &mut rainbowcake::sim::pool::Pool) {
     }
 }
 
-// ---------------- event queue backends ----------------
-
-proptest! {
-    /// The timer-wheel backend must pop the exact event sequence of the
-    /// reference `BinaryHeap` backend under arbitrary interleavings of
-    /// schedules, generation-stamp invalidations (note/retire), and
-    /// pops: same events, same times, same tie-breaking, same stale
-    /// drops.
-    #[test]
-    fn wheel_matches_heap_reference(
-        ops in prop::collection::vec((0u8..6, any::<u64>(), any::<u64>(), any::<u64>()), 1..200),
-    ) {
-        use rainbowcake::core::types::ContainerId;
-        use rainbowcake::sim::event::{EventKind, EventQueue, QueueKind};
-
-        let mut wheel = EventQueue::with_backend(QueueKind::TimerWheel);
-        let mut heap = EventQueue::with_backend(QueueKind::BinaryHeap);
-        // The wheel cannot schedule into the past. Its time frontier is
-        // the last popped event — including events dropped as stale
-        // inside `pop`, so after a `pop` that returns `None` the
-        // frontier may sit at the latest timestamp ever scheduled.
-        let mut now = 0u64;
-        let mut high = 0u64;
-        let ctr = |a: u64, b: u64| ContainerId::from_parts((a % 4) as u32, (b % 8) as u32);
-        for (op, a, b, c) in ops {
-            match op {
-                // Schedule one event of every kind, at spreads from
-                // "this very microsecond" to minutes out (crossing
-                // several wheel levels).
-                0..=2 => {
-                    let time = Instant::from_micros(now + a % 100_000_000);
-                    high = high.max(time.as_micros());
-                    let kind = match b % 5 {
-                        0 => EventKind::Arrival { function: FunctionId::new((c % 6) as u32) },
-                        1 => EventKind::InitComplete { container: ctr(b, c), epoch: a % 4 },
-                        2 => EventKind::ExecComplete { container: ctr(b, c) },
-                        3 => EventKind::IdleTimeout { container: ctr(b, c), epoch: a % 4 },
-                        _ => EventKind::PrewarmFire { function: FunctionId::new((c % 6) as u32) },
-                    };
-                    wheel.push(time, kind);
-                    heap.push(time, kind);
-                }
-                // Invalidate stale epochs / whole containers.
-                3 => {
-                    wheel.note(ctr(a, b), c % 5);
-                    heap.note(ctr(a, b), c % 5);
-                }
-                4 => {
-                    wheel.retire(ctr(a, b));
-                    heap.retire(ctr(a, b));
-                }
-                // Pop a few from both and compare exactly.
-                _ => {
-                    for _ in 0..=(b % 3) {
-                        let (x, y) = (wheel.pop(), heap.pop());
-                        prop_assert_eq!(&x, &y);
-                        match x {
-                            Some(e) => now = e.time.as_micros(),
-                            None => {
-                                now = high;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            // The wheel may discard stale events mid-cascade, before
-            // the heap's pop-time filter would; its len can only run
-            // at or below the heap's. The slack is exactly the stale
-            // drops each backend has already counted: `len +
-            // stale_dropped` is a conserved quantity across backends.
-            prop_assert!(wheel.len() <= heap.len());
-            prop_assert_eq!(
-                wheel.len() as u64 + wheel.stale_dropped(),
-                heap.len() as u64 + heap.stale_dropped(),
-                "live + stale-dropped must be conserved across backends"
-            );
-        }
-        // Drain both to the end: the full remaining sequences agree.
-        loop {
-            let (x, y) = (wheel.pop(), heap.pop());
-            prop_assert_eq!(&x, &y);
-            if x.is_none() {
-                break;
-            }
-        }
-        prop_assert!(wheel.is_empty() && heap.is_empty());
-        prop_assert_eq!(wheel.stale_dropped(), heap.stale_dropped());
-    }
-
-    /// `pop_tick` must drain each timestamp's events in the exact order
-    /// per-event `pop` yields them, on both backends, under arbitrary
-    /// interleavings of the three sequence bands (arrival, runtime,
-    /// ladder) at shared ticks.
-    #[test]
-    fn pop_tick_same_tick_order_matches_per_event_pops(
-        ops in prop::collection::vec((0u8..4, 0u64..40, any::<u64>()), 1..120),
-    ) {
-        use rainbowcake::core::types::ContainerId;
-        use rainbowcake::sim::event::{EventKind, EventQueue, QueueKind};
-
-        let mut queues: Vec<EventQueue> = vec![
-            EventQueue::with_backend(QueueKind::TimerWheel),
-            EventQueue::with_backend(QueueKind::BinaryHeap),
-            EventQueue::with_backend(QueueKind::TimerWheel),
-            EventQueue::with_backend(QueueKind::BinaryHeap),
-        ];
-        for (op, t, x) in ops {
-            // Coarse timestamps force heavy tick sharing.
-            let time = Instant::from_micros(t * 1_000);
-            for q in &mut queues {
-                match op {
-                    0 => q.push_arrival(time, FunctionId::new((x % 5) as u32)),
-                    1 => q.push(time, EventKind::ExecComplete {
-                        container: ContainerId::from_parts((x % 3) as u32, 0),
-                    }),
-                    2 => q.push(time, EventKind::IdleTimeout {
-                        container: ContainerId::from_parts((x % 3) as u32, 0),
-                        epoch: 0,
-                    }),
-                    _ => q.push_ladder(time, EventKind::LadderWake),
-                }
-            }
-        }
-        let (batch_queues, pop_queues) = queues.split_at_mut(2);
-        for (bq, pq) in batch_queues.iter_mut().zip(pop_queues.iter_mut()) {
-            let mut batch = Vec::new();
-            while let Some(tick) = bq.pop_tick(&mut batch) {
-                for event in &batch {
-                    prop_assert_eq!(event.time, tick);
-                    let popped = pq.pop().expect("reference queue has the event");
-                    prop_assert_eq!(&popped, event);
-                }
-            }
-            prop_assert!(pq.pop().is_none());
-        }
-    }
-}
-
 // Whole mini-simulations under proptest get fewer cases: they are
 // comparatively expensive.
 proptest! {
@@ -651,11 +512,11 @@ proptest! {
             let report = match policy_idx {
                 0 => {
                     let mut p = OpenWhiskDefault::new();
-                    run(&catalog, &mut p, &trace, &config)
+                    run(&catalog, &mut p, trace.iter().copied(), trace.horizon(), &config, None)
                 }
                 _ => {
                     let mut p = RainbowCake::with_defaults(&catalog).unwrap();
-                    run(&catalog, &mut p, &trace, &config)
+                    run(&catalog, &mut p, trace.iter().copied(), trace.horizon(), &config, None)
                 }
             };
             prop_assert!(report.records.len() <= trace.len());
@@ -663,47 +524,6 @@ proptest! {
                 prop_assert_eq!(r.e2e(), r.queue + r.startup + r.exec);
             }
             prop_assert!(report.total_waste().value() >= 0.0);
-        }
-    }
-
-    /// The lazy-ladder tentpole oracle: on arbitrary traces, seeds, and
-    /// memory budgets (pressure included), a RainbowCake run with one
-    /// terminal timer per idle period is byte-identical to the eager
-    /// per-rung chain, on both queue backends. Debug builds additionally
-    /// check every tick-start settlement against the eager-chain
-    /// schedule walk (`LadderState::effective_at`) via a `debug_assert`
-    /// inside the engine.
-    #[test]
-    fn lazy_ladder_settlement_matches_eager_chain_oracle(
-        raw in prop::collection::vec((0u64..1_800, 0u32..3), 1..120),
-        seed in any::<u64>(),
-        capacity_mb in 256u64..8_192,
-    ) {
-        use rainbowcake::sim::event::QueueKind;
-        use rainbowcake::sim::TimerMode;
-
-        let catalog = small_catalog();
-        let arrivals: Vec<Arrival> = raw
-            .into_iter()
-            .map(|(s, f)| Arrival {
-                time: Instant::from_micros(s * 1_000_000),
-                function: FunctionId::new(f),
-            })
-            .collect();
-        let trace = Trace::from_arrivals(Micros::from_mins(40), arrivals);
-        for queue in [QueueKind::TimerWheel, QueueKind::BinaryHeap] {
-            let config = |timer_mode| SimConfig {
-                memory_capacity: MemMb::new(capacity_mb),
-                seed,
-                event_queue: queue,
-                timer_mode,
-                ..SimConfig::default()
-            };
-            let mut eager_policy = RainbowCake::with_defaults(&catalog).unwrap();
-            let eager = run(&catalog, &mut eager_policy, &trace, &config(TimerMode::Eager));
-            let mut lazy_policy = RainbowCake::with_defaults(&catalog).unwrap();
-            let lazy = run(&catalog, &mut lazy_policy, &trace, &config(TimerMode::Lazy));
-            prop_assert_eq!(lazy.to_json(), eager.to_json(), "queue {:?}", queue);
         }
     }
 
