@@ -1,16 +1,16 @@
-//! Criterion bench: compound-rate query cost through the memoized path
-//! vs the naive oracle, at catalog sizes 10 / 100 / 1000 (the PR-6
-//! tentpole claim: scope queries are amortized O(1) and exact).
+//! Criterion bench: the cost of a compound-rate query on the active-member
+//! scan against the naive oracle, at the paper catalog's 20 functions and
+//! at 1000 (the size of simbench's `rc-wide` workload).
 //!
-//! Three cases per scope:
+//! * `function` — one function's fitted rate (a ladder's `User` rung);
+//! * `sharing_rates` — the fused `Lang` + `Global` pass one idle
+//!   transition makes;
+//! * `lang`, `global` — one compound scope through `rate`;
+//! * `uncached_lang`, `uncached_global` — the naive
+//!   O(functions-in-scope) oracle ([`HistoryRecorder::rate_uncached`])
+//!   the scan must match bit-for-bit.
 //!
-//! * `*_hit` — repeated query at a fixed `now`: pure memo hit, must be
-//!   flat across catalog sizes;
-//! * `*_scan` — `now` advances every iteration, forcing a fresh scan
-//!   over the active members: the miss path the memo amortizes;
-//! * `uncached_*` — the naive O(functions-in-scope) oracle
-//!   ([`HistoryRecorder::rate_uncached`]) the cached path must match
-//!   bit-for-bit.
+//! `now` advances every iteration, as it does between real queries.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -19,7 +19,7 @@ use rainbowcake_core::time::Instant;
 use rainbowcake_core::types::{FunctionId, Language};
 use rainbowcake_workloads::synthetic_catalog;
 
-fn warmed_recorder(n: usize) -> (HistoryRecorder, Instant) {
+fn warmed_recorder(n: usize) -> (HistoryRecorder, u64) {
     let catalog = synthetic_catalog(n);
     let mut rec = HistoryRecorder::new(&catalog, 6).unwrap();
     // Eight arrivals per function: every member is active (>= 2
@@ -30,47 +30,36 @@ fn warmed_recorder(n: usize) -> (HistoryRecorder, Instant) {
             Instant::from_micros(i * 250_000),
         );
     }
-    let now = Instant::from_micros(n as u64 * 8 * 250_000);
-    (rec, now)
+    (rec, n as u64 * 8 * 250_000)
 }
 
 fn bench_history_rate(c: &mut Criterion) {
     let mut group = c.benchmark_group("history_rate");
-    for &n in &[10usize, 100, 1000] {
-        let (rec, now) = warmed_recorder(n);
+    for &n in &[20usize, 1000] {
+        let (mut rec, mut tick) = warmed_recorder(n);
         let lang = ShareScope::Language(Language::Python);
+        let mut next = || {
+            tick += 1;
+            Instant::from_micros(tick)
+        };
 
         group.bench_with_input(BenchmarkId::new("function", n), &n, |b, _| {
-            b.iter(|| black_box(rec.rate(black_box(ShareScope::Function(FunctionId::new(3))), now)))
+            b.iter(|| black_box(rec.function_rate(black_box(FunctionId::new(3)), next())))
         });
-
-        group.bench_with_input(BenchmarkId::new("lang_hit", n), &n, |b, _| {
-            b.iter(|| black_box(rec.rate(black_box(lang), now)))
+        group.bench_with_input(BenchmarkId::new("sharing_rates", n), &n, |b, _| {
+            b.iter(|| black_box(rec.sharing_rates(black_box(Language::Python), next())))
         });
-        group.bench_with_input(BenchmarkId::new("global_hit", n), &n, |b, _| {
-            b.iter(|| black_box(rec.rate(black_box(ShareScope::Global), now)))
+        group.bench_with_input(BenchmarkId::new("lang", n), &n, |b, _| {
+            b.iter(|| black_box(rec.rate(black_box(lang), next())))
         });
-
-        group.bench_with_input(BenchmarkId::new("lang_scan", n), &n, |b, _| {
-            let mut tick = now.as_micros();
-            b.iter(|| {
-                tick += 1;
-                black_box(rec.rate(black_box(lang), Instant::from_micros(tick)))
-            })
+        group.bench_with_input(BenchmarkId::new("global", n), &n, |b, _| {
+            b.iter(|| black_box(rec.rate(black_box(ShareScope::Global), next())))
         });
-        group.bench_with_input(BenchmarkId::new("global_scan", n), &n, |b, _| {
-            let mut tick = now.as_micros();
-            b.iter(|| {
-                tick += 1;
-                black_box(rec.rate(black_box(ShareScope::Global), Instant::from_micros(tick)))
-            })
-        });
-
         group.bench_with_input(BenchmarkId::new("uncached_lang", n), &n, |b, _| {
-            b.iter(|| black_box(rec.rate_uncached(black_box(lang), now)))
+            b.iter(|| black_box(rec.rate_uncached(black_box(lang), next())))
         });
         group.bench_with_input(BenchmarkId::new("uncached_global", n), &n, |b, _| {
-            b.iter(|| black_box(rec.rate_uncached(black_box(ShareScope::Global), now)))
+            b.iter(|| black_box(rec.rate_uncached(black_box(ShareScope::Global), next())))
         });
     }
     group.finish();

@@ -6,8 +6,9 @@
 //!
 //! Schema `/4` additions: every policy row carries the History
 //! Recorder's query counters (`history`: rate queries, compound-scope
-//! queries, memo hits, member scans, fitted terms — all zero for
-//! policies without a recorder), and the scaling section gains a
+//! queries, scope hits — always zero since the scope memo was removed —
+//! member scans, fitted terms; all zero for policies without a
+//! recorder), and the scaling section gains a
 //! `streaming` point that re-runs RainbowCake on a trace scaled past
 //! 10^8 invocations to prove the streaming pipeline's memory stays
 //! flat (bounded by channel depth, not trace length) at full speed.
@@ -738,9 +739,8 @@ fn main() {
         if row.history.queries > 0 {
             let h = &row.history;
             println!(
-                "    history: {} rate queries ({} compound; {} memo hits, {} scans \
-                 fitting {} terms)",
-                h.queries, h.scope_queries, h.scope_hits, h.scans, h.terms_computed
+                "    history: {} rate queries ({} compound; {} scans fitting {} terms)",
+                h.queries, h.scope_queries, h.scans, h.terms_computed
             );
         }
         rows.push(row);

@@ -22,39 +22,30 @@
 //! startup latency and idle memory footprint per layer (Eq. 5), which
 //! the keep-alive algorithm needs for the β bound (Eq. 6).
 //!
-//! # Compound-rate queries are amortized O(1), and exact
+//! # Compound rates: one contiguous scan, exact
 //!
-//! Eq. 2 makes every `Lang`/`Bare` TTL decision a sum over a sharing
-//! set that can span the whole catalog, and RainbowCake issues those
-//! on every idle transition and downgrade. Three cooperating
-//! mechanisms keep the hot path off the naive O(functions) scan while
-//! returning bit-identical values (see DESIGN.md §11):
+//! A `Lang` or `Bare` rate costs one pass over the functions with a
+//! nonzero fitted rate (at least two windowed arrivals): O(active
+//! functions) per query, nothing cached between queries (DESIGN.md
+//! §11). The recorder keeps those functions' window summaries in
+//! contiguous arrays in ascending id order, and
+//! [`HistoryRecorder::sharing_rates`] walks them once, adding every term
+//! to the global sum and the terms of one language to that language's
+//! sum. A RainbowCake idle transition needs both (its ladder's `Lang`
+//! and `Bare` rungs), so one pass answers both.
 //!
-//! * **Generation-stamped scope memoization** — each `Language` scope
-//!   and `Global` carries a `(now, generation) → rate` cell,
-//!   invalidated only when a member records an arrival or `now`
-//!   advances. Tick-batched dispatch holds `now` constant across a
-//!   batch, so repeated queries in a tick collapse to one scan.
-//! * **Incremental per-function aggregates** — `record_arrival`
-//!   maintains dense `win_len` / `win_oldest` mirrors of each ring, so
-//!   a term is two flat-array loads and one division instead of a
-//!   pointer chase through per-function ring state. (An earlier draft
-//!   also memoized individual terms in per-function cells; profiling
-//!   showed scope queries land at distinct simulated ticks on real
-//!   traces, so the cells never hit and their writes were pure
-//!   overhead — the dense recompute is faster.)
-//! * **Active-member lists** — a function contributes exactly `+0.0`
-//!   until its window holds two arrivals, and window length never
-//!   shrinks, so scans iterate sorted lists of ever-seen members
-//!   instead of the whole catalog. Skipping `+0.0` terms of a
-//!   non-negative sum is bit-exact: the accumulator starts at `+0.0`
-//!   and IEEE-754 gives `x + 0.0 = x` for every non-negative `x`.
+//! The pass is bit-identical to the naive per-scope sum
+//! [`HistoryRecorder::rate_uncached`], which debug builds check on every
+//! scan:
 //!
-//! The naive scan survives as [`HistoryRecorder::rate_uncached`]; debug
-//! builds assert bit-equality on every cached query, and a proptest
-//! drives arbitrary interleavings through both paths.
+//! * members are added in the naive scan's ascending-id order;
+//! * a function below two windowed arrivals adds exactly `+0.0` to the
+//!   naive sum, which leaves every non-negative partial sum unchanged,
+//!   so skipping it is exact;
+//! * `f64::sum` folds from `-0.0`, so the naive sum of an empty sharing
+//!   set is `-0.0` and of a non-empty all-inactive set `+0.0`; the
+//!   accumulators are seeded the same way.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 
 use crate::error::ConfigError;
@@ -72,18 +63,6 @@ pub enum ShareScope {
     Language(Language),
     /// Hits on a `Bare` container (any function).
     Global,
-}
-
-impl ShareScope {
-    /// The scope matching a container of `layer` (owned by `f`, speaking
-    /// `language`). This is the `F^(k)` of Eq. 2.
-    pub fn for_layer(layer: Layer, f: FunctionId, language: Language) -> Self {
-        match layer {
-            Layer::User => ShareScope::Function(f),
-            Layer::Lang => ShareScope::Language(language),
-            Layer::Bare => ShareScope::Global,
-        }
-    }
 }
 
 /// Solves Eq. 4: the `p`-quantile of an exponential inter-arrival
@@ -202,18 +181,18 @@ fn layer_idx(layer: Layer) -> usize {
 /// [`HistoryRecorder::stats`]; merged across shards by the harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HistoryStats {
-    /// Total `rate` queries (all scopes).
+    /// Rates answered, all scopes (one
+    /// [`HistoryRecorder::sharing_rates`] pass answers two).
     pub queries: u64,
-    /// Queries against a `Language` or `Global` scope (the compound
-    /// sums the memoization exists for).
+    /// Rates answered for a `Language` or `Global` scope.
     pub scope_queries: u64,
-    /// Scope queries answered from the `(now, generation)` memo cell
-    /// without touching any member.
+    /// Scope queries answered without a scan. The recorder keeps no
+    /// cache, so this stays 0; the field keeps report schemas stable.
     pub scope_hits: u64,
-    /// Member scans performed (scope queries that missed the memo).
+    /// Passes over the active members.
     pub scans: u64,
-    /// Fitted rate terms actually computed (one division each): active
-    /// members visited by scans plus nonzero `Function`-scope answers.
+    /// Fitted rate terms computed (one division each): active members
+    /// visited by scans plus nonzero `Function`-scope answers.
     pub terms_computed: u64,
 }
 
@@ -228,24 +207,40 @@ impl HistoryStats {
     }
 }
 
-/// Memo cell for one sharing scope: the compound rate last computed at
-/// `now_us` under arrival-generation `gen`.
-#[derive(Debug, Clone, Copy)]
-struct ScopeCache {
-    now_us: u64,
-    gen: u64,
-    rate: f64,
+/// The two compound rates of Eq. 2 that one scan yields.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SharingRates {
+    /// `λ` of the queried language's sharing set (the `Lang` layer).
+    pub language: f64,
+    /// `λ` of the whole catalog (the `Bare` layer).
+    pub global: f64,
 }
 
-impl ScopeCache {
-    /// Never matches: generations count up from 0 and `now` stamps are
-    /// compared alongside, so `u64::MAX` marks "nothing cached yet".
-    const EMPTY: ScopeCache = ScopeCache {
-        now_us: u64::MAX,
-        gen: u64::MAX,
-        rate: 0.0,
-    };
+/// `λ_f = n / (now − j′)` per second from a window of `len` arrivals
+/// whose stalest stamp is `oldest_us`, with the span clamped to at least
+/// 1 µs. Stamps are whole microseconds below 2^53, so they, and their
+/// difference, are exact in `f64`: this is bit-identical to the integer
+/// `saturating_sub(..).max(1) as f64` of [`HistoryRecorder::rate_uncached`],
+/// and it vectorizes. The expression is kept literally: the
+/// algebraically equal `len * 1e6 / span` rounds differently.
+fn fitted_rate(len: f64, oldest_us: f64, now_us: f64) -> f64 {
+    let d = now_us - oldest_us;
+    let span_us = if d > 1.0 { d } else { 1.0 };
+    len / (span_us / 1e6)
 }
+
+/// Active members a scan fits per block: the divisions of a block are
+/// independent and vectorize; the sums then add the block's terms in
+/// order.
+const BLOCK: usize = 16;
+
+/// `slot` entry of a function that is not active.
+const INACTIVE: u32 = u32::MAX;
+
+/// Arrival stamps and query times must stay below 2^53 µs (about 285
+/// years) to be exact in `f64`. `record_arrival` asserts it for stamps;
+/// scans check query times in debug builds.
+const MAX_STAMP_US: u64 = 1 << 53;
 
 /// Sharing-aware invocation history recorder (§5.1).
 ///
@@ -280,43 +275,26 @@ pub struct HistoryRecorder {
     functions: Vec<FunctionHistory>,
     /// Function indices per language (the Lang sharing sets), ascending.
     lang_groups: [Vec<usize>; 3],
+    /// `Language::index()` per function.
+    lang_of: Vec<u8>,
     /// Flat arrival-window ring storage: function `i` owns micro-second
     /// stamps `ring[i*window .. (i+1)*window]`, a circular buffer whose
     /// stalest live entry sits at `ring_head[i]`.
     ring: Vec<u64>,
     ring_head: Vec<u32>,
     /// Live entries in each function's ring; grows to `window`, never
-    /// shrinks — which is what makes "has ≥ 2 arrivals" monotone.
+    /// shrinks — so once a function is active it stays active.
     win_len: Vec<u32>,
-    /// Dense mirror of each function's stalest arrival stamp, so scans
-    /// touch two flat arrays instead of indexing into the ring.
-    win_oldest: Vec<u64>,
-    /// `Language::index()` per function.
-    lang_of: Vec<u8>,
-    /// Arrival generation per function / per language scope / global:
-    /// bumped on every `record_arrival`, stamped into memo cells.
-    fn_gen: Vec<u64>,
-    lang_gen: [u64; 3],
-    global_gen: u64,
-    /// Members with ≥ 2 windowed arrivals (nonzero fitted rate),
-    /// ascending — the only functions a scan must visit.
-    lang_active: [Vec<u32>; 3],
-    global_active: Vec<u32>,
-    /// Scope memo cells. `Cell` keeps `rate` an `&self` query; the
-    /// recorder is never shared across threads (each shard builds its
-    /// own policy).
-    lang_cache: [Cell<ScopeCache>; 3],
-    global_cache: Cell<ScopeCache>,
-    stats: StatCells,
-}
-
-#[derive(Debug, Clone, Default)]
-struct StatCells {
-    queries: Cell<u64>,
-    scope_queries: Cell<u64>,
-    scope_hits: Cell<u64>,
-    scans: Cell<u64>,
-    terms_computed: Cell<u64>,
+    /// The functions with ≥ 2 windowed arrivals, in ascending id order,
+    /// as parallel arrays a scan streams: stalest stamp (µs), window
+    /// length, `Language::index()`, and id.
+    active_oldest: Vec<f64>,
+    active_len: Vec<f64>,
+    active_lang: Vec<u8>,
+    active_ids: Vec<u32>,
+    /// Each function's index in the `active_*` arrays, or [`INACTIVE`].
+    slot: Vec<u32>,
+    stats: HistoryStats,
 }
 
 impl HistoryRecorder {
@@ -341,23 +319,16 @@ impl HistoryRecorder {
             window,
             functions: (0..n).map(|_| FunctionHistory::new(window)).collect(),
             lang_groups,
+            lang_of,
             ring: vec![0; n * window],
             ring_head: vec![0; n],
             win_len: vec![0; n],
-            win_oldest: vec![0; n],
-            lang_of,
-            fn_gen: vec![0; n],
-            lang_gen: [0; 3],
-            global_gen: 0,
-            lang_active: Default::default(),
-            global_active: Vec::new(),
-            lang_cache: [
-                Cell::new(ScopeCache::EMPTY),
-                Cell::new(ScopeCache::EMPTY),
-                Cell::new(ScopeCache::EMPTY),
-            ],
-            global_cache: Cell::new(ScopeCache::EMPTY),
-            stats: StatCells::default(),
+            active_oldest: Vec::new(),
+            active_len: Vec::new(),
+            active_lang: Vec::new(),
+            active_ids: Vec::new(),
+            slot: vec![INACTIVE; n],
+            stats: HistoryStats::default(),
         })
     }
 
@@ -378,13 +349,7 @@ impl HistoryRecorder {
 
     /// Snapshot of the query counters accumulated so far.
     pub fn stats(&self) -> HistoryStats {
-        HistoryStats {
-            queries: self.stats.queries.get(),
-            scope_queries: self.stats.scope_queries.get(),
-            scope_hits: self.stats.scope_hits.get(),
-            scans: self.stats.scans.get(),
-            terms_computed: self.stats.terms_computed.get(),
-        }
+        self.stats
     }
 
     /// Records an invocation arrival for `f` at time `now` (sliding the
@@ -392,8 +357,13 @@ impl HistoryRecorder {
     ///
     /// # Panics
     ///
-    /// Panics if `f` is not in the catalog the recorder was built from.
+    /// Panics if `f` is not in the catalog the recorder was built from,
+    /// or if `now` is 2^53 µs (about 285 years) or later.
     pub fn record_arrival(&mut self, f: FunctionId, now: Instant) {
+        assert!(
+            now.as_micros() < MAX_STAMP_US,
+            "arrival stamp {now:?} is past the recorder's exact range"
+        );
         let i = f.index();
         let w = self.window;
         let base = i * w;
@@ -411,23 +381,24 @@ impl HistoryRecorder {
                 self.activate(i);
             }
         }
-        self.win_oldest[i] = self.ring[base + self.ring_head[i] as usize];
-        self.fn_gen[i] += 1;
-        self.lang_gen[self.lang_of[i] as usize] += 1;
-        self.global_gen += 1;
+        let s = self.slot[i] as usize;
+        if let Some(oldest) = self.active_oldest.get_mut(s) {
+            *oldest = self.ring[base + self.ring_head[i] as usize] as f64;
+            self.active_len[s] = f64::from(self.win_len[i]);
+        }
     }
 
-    /// Marks function `i` as having a nonzero fitted rate from now on,
-    /// inserting it into its scope's active lists in ascending order
-    /// (scans must visit members in naive-scan order for bit-equality).
+    /// Adds function `i` to the active members at its ascending-id
+    /// position (scans must add terms in naive-scan order to be
+    /// bit-exact). Runs once per function per run.
     fn activate(&mut self, i: usize) {
-        let idx = i as u32;
-        let lang = &mut self.lang_active[self.lang_of[i] as usize];
-        if let Err(pos) = lang.binary_search(&idx) {
-            lang.insert(pos, idx);
-        }
-        if let Err(pos) = self.global_active.binary_search(&idx) {
-            self.global_active.insert(pos, idx);
+        let pos = self.active_ids.partition_point(|&id| (id as usize) < i);
+        self.active_ids.insert(pos, i as u32);
+        self.active_oldest.insert(pos, 0.0);
+        self.active_len.insert(pos, 0.0);
+        self.active_lang.insert(pos, self.lang_of[i]);
+        for (k, &id) in self.active_ids.iter().enumerate().skip(pos) {
+            self.slot[id as usize] = k as u32;
         }
     }
 
@@ -445,8 +416,8 @@ impl HistoryRecorder {
         h.memory[layer_idx(layer)].push(memory.as_mb() as f64);
     }
 
-    /// One function's fitted rate straight off the ring, with no cache
-    /// involvement: `λ_f = n / (now − j′)`, 0 until two arrivals.
+    /// One function's fitted rate straight off the ring:
+    /// `λ_f = n / (now − j′)`, 0 until two arrivals.
     fn raw_rate(&self, i: usize, now: Instant) -> f64 {
         let len = self.win_len[i];
         if len < 2 {
@@ -457,109 +428,97 @@ impl HistoryRecorder {
         len as f64 / span.as_secs_f64()
     }
 
-    /// One function's fitted rate off the dense `win_len`/`win_oldest`
-    /// mirrors — two flat loads and a division, no per-function state
-    /// touched. Bit-identical to [`Self::raw_rate`].
-    fn term(&self, i: usize, now_us: u64) -> f64 {
-        let len = self.win_len[i];
-        if len < 2 {
-            return 0.0;
-        }
-        let span_us = now_us.saturating_sub(self.win_oldest[i]).max(1);
-        len as f64 / (span_us as f64 / 1e6)
-    }
-
-    /// Answers one compound-scope query through its memo cell, scanning
-    /// only the active members on a miss. `group_len` is the scope's
-    /// static member count: `f64::sum` folds from `-0.0`, so an empty
-    /// group sums to `-0.0` while a non-empty group of all-zero terms
-    /// sums to `+0.0` — the accumulator seed reproduces both (adding
-    /// any term to either zero gives the same bits thereafter).
-    fn scope_rate(
-        &self,
-        cache: &Cell<ScopeCache>,
-        gen: u64,
-        members: &[u32],
-        group_len: usize,
-        now: Instant,
-    ) -> f64 {
-        self.stats
-            .scope_queries
-            .set(self.stats.scope_queries.get() + 1);
-        let now_us = now.as_micros();
-        let cached = cache.get();
-        if cached.now_us == now_us && cached.gen == gen {
-            self.stats.scope_hits.set(self.stats.scope_hits.get() + 1);
-            return cached.rate;
-        }
-        self.stats.scans.set(self.stats.scans.get() + 1);
-        // Every active member has >= 2 arrivals, so the scan performs
-        // exactly `members.len()` term fits — counted once out here so
-        // the inner loop stays free of `Cell` traffic.
-        self.stats
-            .terms_computed
-            .set(self.stats.terms_computed.get() + members.len() as u64);
-        let mut sum = if group_len == 0 { -0.0 } else { 0.0 };
-        for &i in members {
-            sum += self.term(i as usize, now_us);
-        }
-        cache.set(ScopeCache {
-            now_us,
-            gen,
-            rate: sum,
-        });
-        sum
-    }
-
     /// The fitted per-second rate `λ_f` for one function as of `now`
     /// (0 until two arrivals are in the window). The rate decays while
     /// the function stays silent, because the fit divides the window
     /// size by the age of its stalest arrival.
-    pub fn function_rate(&self, f: FunctionId, now: Instant) -> f64 {
-        let i = f.index();
-        self.stats
-            .terms_computed
-            .set(self.stats.terms_computed.get() + u64::from(self.win_len[i] >= 2));
-        self.term(i, now.as_micros())
-    }
-
-    /// The compound per-second rate `λ^(k)` for a sharing scope as of
-    /// `now` (Eq. 2). Amortized O(1): see the module docs for the
-    /// memoization scheme and the bit-exactness argument.
-    pub fn rate(&self, scope: ShareScope, now: Instant) -> f64 {
-        self.stats.queries.set(self.stats.queries.get() + 1);
-        let rate = match scope {
-            ShareScope::Function(f) => self.function_rate(f, now),
-            ShareScope::Language(l) => {
-                let li = l.index();
-                self.scope_rate(
-                    &self.lang_cache[li],
-                    self.lang_gen[li],
-                    &self.lang_active[li],
-                    self.lang_groups[li].len(),
-                    now,
-                )
+    pub fn function_rate(&mut self, f: FunctionId, now: Instant) -> f64 {
+        self.stats.queries += 1;
+        let s = self.slot[f.index()] as usize;
+        let rate = match self.active_oldest.get(s) {
+            Some(&oldest) => {
+                self.stats.terms_computed += 1;
+                fitted_rate(self.active_len[s], oldest, now.as_micros() as f64)
             }
-            ShareScope::Global => self.scope_rate(
-                &self.global_cache,
-                self.global_gen,
-                &self.global_active,
-                self.functions.len(),
-                now,
-            ),
+            None => 0.0,
         };
         debug_assert!(
-            rate.to_bits() == self.rate_uncached(scope, now).to_bits(),
-            "cached rate diverged from naive scan for {scope:?} at {now:?}: \
-             cached {rate} vs naive {}",
-            self.rate_uncached(scope, now),
+            rate.to_bits() == self.raw_rate(f.index(), now).to_bits(),
+            "fitted rate diverged from the ring for {f:?} at {now:?}"
         );
         rate
     }
 
+    /// The compound rates of `lang`'s sharing set and of the whole
+    /// catalog as of `now` (Eq. 2), from one pass over the active
+    /// members.
+    pub fn sharing_rates(&mut self, lang: Language, now: Instant) -> SharingRates {
+        self.stats.queries += 2;
+        self.stats.scope_queries += 2;
+        self.scan(lang, now)
+    }
+
+    /// The one pass behind every compound rate.
+    fn scan(&mut self, lang: Language, now: Instant) -> SharingRates {
+        debug_assert!(now.as_micros() < MAX_STAMP_US, "query past the exact range");
+        self.stats.scans += 1;
+        self.stats.terms_computed += self.active_ids.len() as u64;
+        let now_us = now.as_micros() as f64;
+        let li = lang.index() as u8;
+        let seed = |members: usize| if members == 0 { -0.0 } else { 0.0 };
+        let mut language = seed(self.lang_groups[lang.index()].len());
+        let mut global = seed(self.functions.len());
+        let mut terms = [0.0f64; BLOCK];
+        let blocks = self
+            .active_oldest
+            .chunks(BLOCK)
+            .zip(self.active_len.chunks(BLOCK))
+            .zip(self.active_lang.chunks(BLOCK));
+        for ((oldest, len), langs) in blocks {
+            for ((t, &o), &l) in terms.iter_mut().zip(oldest).zip(len) {
+                *t = fitted_rate(l, o, now_us);
+            }
+            for (&t, &g) in terms.iter().zip(langs) {
+                global += t;
+                if g == li {
+                    language += t;
+                }
+            }
+        }
+        debug_assert!(
+            language.to_bits()
+                == self
+                    .rate_uncached(ShareScope::Language(lang), now)
+                    .to_bits()
+                && global.to_bits() == self.rate_uncached(ShareScope::Global, now).to_bits(),
+            "scan diverged from the naive sums for {lang:?} at {now:?}"
+        );
+        SharingRates { language, global }
+    }
+
+    /// The compound per-second rate `λ^(k)` for a sharing scope as of
+    /// `now` (Eq. 2). A `Language` or `Global` scope costs one pass over
+    /// the active members; see the module docs.
+    pub fn rate(&mut self, scope: ShareScope, now: Instant) -> f64 {
+        match scope {
+            ShareScope::Function(f) => self.function_rate(f, now),
+            ShareScope::Language(l) => {
+                self.stats.queries += 1;
+                self.stats.scope_queries += 1;
+                self.scan(l, now).language
+            }
+            ShareScope::Global => {
+                self.stats.queries += 1;
+                self.stats.scope_queries += 1;
+                // Any language: only the global sum is read.
+                self.scan(Language::Python, now).global
+            }
+        }
+    }
+
     /// The naive O(functions-in-scope) scan over the arrival rings —
-    /// the oracle the cached path must match bit-for-bit. Kept public
-    /// so property tests can drive both paths side by side.
+    /// the oracle the production path must match bit-for-bit. Kept
+    /// public so property tests can drive both paths side by side.
     pub fn rate_uncached(&self, scope: ShareScope, now: Instant) -> f64 {
         match scope {
             ShareScope::Function(f) => self.raw_rate(f.index(), now),
@@ -576,7 +535,7 @@ impl HistoryRecorder {
     /// Eq. 4: the estimated inter-arrival time of hits on `scope` at
     /// confidence quantile `p`, evaluated at `now`. Returns
     /// [`Micros::MAX`] when the scope has no fitted rate yet.
-    pub fn estimate_iat(&self, scope: ShareScope, p: f64, now: Instant) -> Micros {
+    pub fn estimate_iat(&mut self, scope: ShareScope, p: f64, now: Instant) -> Micros {
         iat_quantile(self.rate(scope, now), p)
     }
 
@@ -814,7 +773,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_rate_matches_oracle_under_interleaving() {
+    fn scanned_rates_match_oracle_under_interleaving() {
         let (_, mut r) = setup();
         let scopes = [
             ShareScope::Function(fid(0)),
@@ -826,57 +785,45 @@ mod tests {
         ];
         let mut t = 0u64;
         for step in 0..500u64 {
-            t += step % 7; // repeats the same `now` regularly
+            t += step % 7;
             let now = Instant::from_micros(t);
-            if step % 3 != 2 {
-                r.record_arrival(fid((step % 3) as u32), now);
+            // Functions arrive 2, 1, 0, so each activation lands ahead
+            // of the members already active.
+            if step % 4 != 3 {
+                r.record_arrival(fid(2 - (step % 4) as u32), now);
             }
             for scope in scopes {
-                let cached = r.rate(scope, now);
+                let scanned = r.rate(scope, now);
                 let naive = r.rate_uncached(scope, now);
-                assert_eq!(cached.to_bits(), naive.to_bits(), "{scope:?} at {t}");
+                assert_eq!(scanned.to_bits(), naive.to_bits(), "{scope:?} at {t}");
+            }
+            for lang in [Language::Python, Language::Java, Language::NodeJs] {
+                let both = r.sharing_rates(lang, now);
+                let naive = r.rate_uncached(ShareScope::Language(lang), now);
+                assert_eq!(both.language.to_bits(), naive.to_bits(), "{lang:?} at {t}");
+                let naive = r.rate_uncached(ShareScope::Global, now);
+                assert_eq!(both.global.to_bits(), naive.to_bits(), "global at {t}");
             }
         }
     }
 
     #[test]
-    fn scope_memoization_hits_within_a_tick() {
+    fn one_scan_answers_both_compound_scopes() {
         let (_, mut r) = setup();
         for i in 0..6u64 {
             r.record_arrival(fid(0), at(i));
-            r.record_arrival(fid(1), at(i));
-        }
-        let now = at(10);
-        let scope = ShareScope::Language(Language::Python);
-        let first = r.rate(scope, now);
-        let before = r.stats();
-        let second = r.rate(scope, now);
-        let after = r.stats();
-        assert_eq!(first.to_bits(), second.to_bits());
-        assert_eq!(after.scope_hits, before.scope_hits + 1);
-        assert_eq!(after.scans, before.scans);
-        // A new arrival invalidates the memo; the next query scans again.
-        r.record_arrival(fid(0), now);
-        r.rate(scope, now);
-        assert_eq!(r.stats().scans, after.scans + 1);
-    }
-
-    #[test]
-    fn memo_hits_compute_no_terms() {
-        let (_, mut r) = setup();
-        for i in 0..6u64 {
-            r.record_arrival(fid(0), at(i));
-            r.record_arrival(fid(1), at(i));
             r.record_arrival(fid(2), at(i));
         }
-        let now = at(10);
-        // A Global scan fits every active member once...
-        r.rate(ShareScope::Global, now);
-        let before = r.stats().terms_computed;
-        // ...and answering the same scope again at the same tick is a
-        // pure memo hit: zero additional term fits.
-        r.rate(ShareScope::Global, now);
-        assert_eq!(r.stats().terms_computed, before);
+        let both = r.sharing_rates(Language::Python, at(10));
+        let s = r.stats();
+        assert_eq!(s.scans, 1);
+        assert_eq!(s.scope_queries, 2);
+        assert_eq!(s.terms_computed, 2);
+        assert_eq!(s.scope_hits, 0);
+        let py = r.rate(ShareScope::Language(Language::Python), at(10));
+        assert_eq!(both.language.to_bits(), py.to_bits());
+        let all = r.rate(ShareScope::Global, at(10));
+        assert_eq!(both.global.to_bits(), all.to_bits());
     }
 
     #[test]
@@ -893,24 +840,7 @@ mod tests {
         // Single-arrival functions stay inactive too (rate still 0).
         r.record_arrival(fid(2), at(10));
         assert_eq!(r.rate(ShareScope::Language(Language::Java), at(11)), 0.0);
-        assert_eq!(r.stats().terms_computed, 1);
-    }
-
-    #[test]
-    fn share_scope_for_layer() {
-        let f = fid(1);
-        assert_eq!(
-            ShareScope::for_layer(Layer::User, f, Language::Python),
-            ShareScope::Function(f)
-        );
-        assert_eq!(
-            ShareScope::for_layer(Layer::Lang, f, Language::Python),
-            ShareScope::Language(Language::Python)
-        );
-        assert_eq!(
-            ShareScope::for_layer(Layer::Bare, f, Language::Python),
-            ShareScope::Global
-        );
+        assert_eq!(r.stats().terms_computed, 2);
     }
 
     #[test]

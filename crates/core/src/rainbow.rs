@@ -3,7 +3,7 @@
 
 use crate::cost::CostModel;
 use crate::error::ConfigError;
-use crate::history::{iat_with_numerator, HistoryRecorder, HistoryStats, ShareScope};
+use crate::history::{iat_with_numerator, HistoryRecorder, HistoryStats, ShareScope, SharingRates};
 use crate::mem::MemMb;
 use crate::policy::{
     lru_victims, ArrivalResponse, ContainerView, Policy, PolicyCtx, ReuseClass, ReuseScope,
@@ -204,8 +204,17 @@ impl RainbowCake {
     }
 
     /// Eq. 7: the keep-alive TTL for a container of `f` sitting at
-    /// `layer`.
-    fn ttl(&self, profile: &FunctionProfile, f: FunctionId, layer: Layer, now: Instant) -> Micros {
+    /// `layer`. A `Lang` or `Bare` rate is read from `shared`, which one
+    /// scan of the sharing history fills on first use, so the lower
+    /// rungs of a ladder share it.
+    fn ttl(
+        &mut self,
+        profile: &FunctionProfile,
+        f: FunctionId,
+        layer: Layer,
+        now: Instant,
+        shared: &mut Option<SharingRates>,
+    ) -> Micros {
         match &self.config.variant {
             RainbowVariant::NoSharing {
                 user_ttl,
@@ -220,9 +229,19 @@ impl RainbowCake {
             }
             RainbowVariant::Full | RainbowVariant::NoLayers => {}
         }
-        let scope = ShareScope::for_layer(layer, f, profile.language);
-        let iat = iat_with_numerator(self.recorder.rate(scope, now), self.iat_numerator);
-        iat.min(self.beta(profile, f, layer))
+        let rate = match layer {
+            Layer::User => self.recorder.function_rate(f, now),
+            Layer::Lang | Layer::Bare => {
+                let rates = *shared
+                    .get_or_insert_with(|| self.recorder.sharing_rates(profile.language, now));
+                if layer == Layer::Lang {
+                    rates.language
+                } else {
+                    rates.global
+                }
+            }
+        };
+        iat_with_numerator(rate, self.iat_numerator).min(self.beta(profile, f, layer))
     }
 
     /// The function whose profile drives a container's cost estimates:
@@ -336,7 +355,7 @@ impl Policy for RainbowCake {
         // Feed the Eq. 5 windows with what we actually observed.
         self.recorder
             .record_observation(f, c.layer, profile.stages.install(c.layer), c.memory);
-        self.ttl(profile, f, c.layer, ctx.now)
+        self.ttl(profile, f, c.layer, ctx.now, &mut None)
     }
 
     /// The whole §4 keep-alive ladder in one shot, computed the moment
@@ -363,6 +382,7 @@ impl Policy for RainbowCake {
         let mut ttls = [Micros::MAX; 3];
         let mut rungs = 0u8;
         let mut layer = c.layer;
+        let mut shared = None;
         loop {
             let f = if layer == c.layer {
                 f0
@@ -375,7 +395,7 @@ impl Policy for RainbowCake {
                 self.first_function.unwrap_or(FunctionId::new(0))
             };
             let profile = if f == f0 { profile0 } else { ctx.profile(f) };
-            ttls[rungs as usize] = self.ttl(profile, f, layer, ctx.now);
+            ttls[rungs as usize] = self.ttl(profile, f, layer, ctx.now, &mut shared);
             rungs += 1;
             if matches!(self.config.variant, RainbowVariant::NoLayers) {
                 break;
@@ -397,7 +417,7 @@ impl Policy for RainbowCake {
             Some(next) => {
                 let f = self.anchor_function(c);
                 TimeoutDecision::Downgrade {
-                    ttl: self.ttl(ctx.profile(f), f, next, ctx.now),
+                    ttl: self.ttl(ctx.profile(f), f, next, ctx.now, &mut None),
                 }
             }
         }

@@ -145,10 +145,10 @@ proptest! {
         prop_assert!(rec.function_rate(f, later) <= rec.function_rate(f, now) + 1e-12);
     }
 
-    /// The PR-6 tentpole oracle: over arbitrary interleavings of
-    /// arrivals and rate queries (any scope, non-decreasing time with
-    /// frequent same-tick repeats to exercise the memo), the memoized
-    /// [`HistoryRecorder::rate`] is bit-identical to the naive
+    /// Over arbitrary interleavings of arrivals and rate queries (any
+    /// scope, non-decreasing time with frequent same-tick repeats), the
+    /// active-member scan behind [`HistoryRecorder::rate`] is
+    /// bit-identical to the naive
     /// O(functions-in-scope) scan [`HistoryRecorder::rate_uncached`] —
     /// including the `-0.0` an empty sharing set sums to.
     #[test]
@@ -166,8 +166,8 @@ proptest! {
         let mut rec = HistoryRecorder::new(&catalog, 6).unwrap();
         let mut now_us = 0u64;
         for (delta, op, x) in ops {
-            // Zero deltas are common, so queries repeat at one tick
-            // (memo hits) as often as they advance it (fresh scans).
+            // Zero deltas are common, so queries repeat at one tick as
+            // often as they advance it.
             now_us += delta.saturating_sub(1_000_000);
             let now = Instant::from_micros(now_us);
             let scope = match op {
