@@ -2,9 +2,12 @@
 //! total order (time, then insertion sequence).
 //!
 //! A **hierarchical timer wheel** implements that order (see DESIGN.md
-//! §7): O(1) pushes, pops amortized O(levels), FIFO within a tick by
-//! construction. The original binary heap survives only as the
-//! test-only reference this module's tests check the wheel against.
+//! §7): O(1) pushes, pops amortized O(levels), each tick sorted by
+//! sequence number as it is drained. Its slots are linked lists through
+//! one node slab, so scheduling allocates nothing once the slab has
+//! grown to the peak number of pending events. The original binary heap
+//! survives only as the test-only reference this module's tests check
+//! the wheel against.
 //!
 //! On top of the wheel the queue maintains per-container
 //! **generation stamps** so that stale container events (the old
@@ -103,21 +106,37 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// microsecond range — so no separate overflow list is needed.
 const LEVELS: usize = 11;
 
+/// End-of-list marker for node links and empty slots.
+const NIL: u32 = u32::MAX;
+
+/// A slab cell: one pending event plus the link to the next node of the
+/// list it is on (its wheel slot's FIFO, or the free list).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    event: Event,
+    next: u32,
+}
+
+/// A wheel slot: a FIFO list of slab nodes in push order.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
 /// One wheel level: 64 slots plus an occupancy bitmap so the lowest
 /// non-empty slot is a single `trailing_zeros`.
 #[derive(Debug)]
 struct Level {
     occupied: u64,
-    slots: [Vec<Event>; SLOTS],
-}
-
-impl Level {
-    fn new() -> Self {
-        Level {
-            occupied: 0,
-            slots: std::array::from_fn(|_| Vec::new()),
-        }
-    }
+    slots: [Slot; SLOTS],
 }
 
 /// A hierarchical timer wheel over absolute microsecond timestamps.
@@ -129,11 +148,21 @@ impl Level {
 ///   at the level of the *highest* 6-bit group in which its timestamp
 ///   differs from `cursor`, in the slot named by its own group value.
 ///
+/// Slot events live in one node slab; a slot is a linked list through
+/// it, and vacated nodes go on a free list. A push takes a free node, a
+/// cascade relinks each node into its finer slot in place, and a drain
+/// or stale drop frees it, so the slab only grows to the peak number of
+/// pending events and the steady state allocates nothing.
+///
 /// Pushes are O(1); each event cascades down at most `LEVELS - 1` times
 /// before popping, so pops are amortized O(`LEVELS`).
 #[derive(Debug)]
 struct Wheel {
     levels: Vec<Level>,
+    /// Storage for every event held in a slot.
+    nodes: Vec<Node>,
+    /// Head of the list of vacated `nodes` (LIFO).
+    free: u32,
     /// Events firing at exactly `cursor`, in seq order.
     current: VecDeque<Event>,
     /// The current simulation time frontier in microseconds.
@@ -143,7 +172,14 @@ struct Wheel {
 impl Wheel {
     fn new() -> Self {
         Wheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            levels: (0..LEVELS)
+                .map(|_| Level {
+                    occupied: 0,
+                    slots: [Slot::EMPTY; SLOTS],
+                })
+                .collect(),
+            nodes: Vec::new(),
+            free: NIL,
             current: VecDeque::new(),
             cursor: 0,
         }
@@ -153,21 +189,57 @@ impl Wheel {
         let t = event.time.as_micros();
         debug_assert!(t >= self.cursor, "cannot schedule into the past");
         if t == self.cursor {
-            // Runtime seqs are monotone (append would suffice), but a
-            // lazily fed arrival carries a low-band seq and may be
-            // pushed after runtime events already cascaded into
-            // `current` — insert by seq to keep the tick sorted. For
-            // monotone pushes the partition point is `len()`, so this
-            // degenerates to the old `push_back`.
-            let at = self.current.partition_point(|e| e.seq < event.seq);
-            self.current.insert(at, event);
+            self.insert_current(event);
             return;
         }
+        let node = match self.free {
+            NIL => {
+                assert!(
+                    self.nodes.len() < NIL as usize,
+                    "timer wheel node slab exhausted"
+                );
+                self.nodes.push(Node { event, next: NIL });
+                (self.nodes.len() - 1) as u32
+            }
+            node => {
+                self.free = self.nodes[node as usize].next;
+                self.nodes[node as usize].event = event;
+                node
+            }
+        };
+        self.link(node, t);
+    }
+
+    /// Adds an event at exactly `cursor` to `current`, keeping it
+    /// seq-sorted. Runtime seqs are monotone (append would suffice), but
+    /// a lazily fed arrival carries a low-band seq and may come after
+    /// runtime events already in `current`. For monotone pushes the
+    /// partition point is `len()`, so this is a `push_back`.
+    fn insert_current(&mut self, event: Event) {
+        let at = self.current.partition_point(|e| e.seq < event.seq);
+        self.current.insert(at, event);
+    }
+
+    /// Appends `node`, whose event fires at `t > cursor`, to the tail of
+    /// its slot's list.
+    fn link(&mut self, node: u32, t: u64) {
         let level = (u64::BITS - 1 - (t ^ self.cursor).leading_zeros()) / SLOT_BITS;
         let slot = (t >> (SLOT_BITS * level)) as usize & (SLOTS - 1);
+        self.nodes[node as usize].next = NIL;
         let lvl = &mut self.levels[level as usize];
-        lvl.slots[slot].push(event);
+        let list = &mut lvl.slots[slot];
+        match list.tail {
+            NIL => list.head = node,
+            tail => self.nodes[tail as usize].next = node,
+        }
+        list.tail = node;
         lvl.occupied |= 1 << slot;
+    }
+
+    /// Returns `node` to the free list.
+    fn release(&mut self, node: u32) {
+        self.nodes[node as usize].next = self.free;
+        self.free = node;
     }
 
     fn pop(&mut self, stamps: &[Stamp], len: &mut usize, dropped: &mut u64) -> Option<Event> {
@@ -200,41 +272,58 @@ impl Wheel {
             let Some(level) = (0..LEVELS).find(|&l| self.levels[l].occupied != 0) else {
                 return false;
             };
-            let slot = self.levels[level].occupied.trailing_zeros();
-            let mut drained = {
-                let lvl = &mut self.levels[level];
-                lvl.occupied &= !(1 << slot);
-                std::mem::take(&mut lvl.slots[slot as usize])
-            };
+            let lvl = &mut self.levels[level];
+            let slot = lvl.occupied.trailing_zeros();
+            lvl.occupied &= !(1 << slot);
+            let mut node = std::mem::replace(&mut lvl.slots[slot as usize], Slot::EMPTY).head;
             let shift = SLOT_BITS * level as u32;
             if level == 0 {
-                // A level-0 slot holds a single exact timestamp: all
-                // its events fire now, FIFO by sequence number. Within
-                // a slot events are already pushed in ascending seq, so
-                // this sort is a (cheap, already-sorted) safety net.
+                // A level-0 slot holds a single exact timestamp: all its
+                // events fire now. Its list is in push order, which is
+                // not seq order: a lazily fed arrival (low band) or a
+                // ladder event (high band) can be linked after
+                // runtime-band events of the same tick. This sort is
+                // what puts the three bands in order.
                 self.cursor = (self.cursor & !(SLOTS as u64 - 1)) | slot as u64;
-                drained.retain(|e| {
-                    let keep = !stale(stamps, e);
-                    *len -= usize::from(!keep);
-                    *dropped += u64::from(!keep);
-                    keep
-                });
-                drained.sort_unstable_by_key(|e| e.seq);
-                self.current.extend(drained);
-            } else {
-                // Advance the cursor into this slot's window and
-                // cascade its events down to finer levels.
-                let low_mask = 1u64
-                    .checked_shl(shift + SLOT_BITS)
-                    .map_or(u64::MAX, |v| v - 1);
-                self.cursor = (self.cursor & !low_mask) | ((slot as u64) << shift);
-                for event in drained {
+                while node != NIL {
+                    let Node { event, next } = self.nodes[node as usize];
                     if stale(stamps, &event) {
                         *len -= 1;
                         *dropped += 1;
                     } else {
-                        self.push(event);
+                        self.current.push_back(event);
                     }
+                    self.release(node);
+                    node = next;
+                }
+                self.current
+                    .make_contiguous()
+                    .sort_unstable_by_key(|e| e.seq);
+            } else {
+                // Advance the cursor into this slot's window and relink
+                // its nodes into finer levels.
+                let low_mask = 1u64
+                    .checked_shl(shift + SLOT_BITS)
+                    .map_or(u64::MAX, |v| v - 1);
+                self.cursor = (self.cursor & !low_mask) | ((slot as u64) << shift);
+                while node != NIL {
+                    let Node { event, next } = self.nodes[node as usize];
+                    let t = event.time.as_micros();
+                    if stale(stamps, &event) {
+                        *len -= 1;
+                        *dropped += 1;
+                        self.release(node);
+                    } else if t == self.cursor {
+                        self.insert_current(event);
+                        self.release(node);
+                    } else {
+                        debug_assert!(
+                            (t ^ self.cursor) >> shift == 0,
+                            "a cascade moves events to finer levels only"
+                        );
+                        self.link(node, t);
+                    }
+                    node = next;
                 }
             }
         }
@@ -1063,6 +1152,49 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().map(|e| e.time), Some(t(30)));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn node_slab_never_outgrows_peak_pending() {
+        // A long stream with a bounded backlog, spread from within the
+        // current level-0 window to minutes out so events wait at every
+        // level, while newer epochs and retirements kill most of them
+        // on the way. Every node a drain or stale drop frees must be
+        // reused: the slab may only grow to the most events ever
+        // pending at once.
+        let mut q = EventQueue::new();
+        let mut batch = Vec::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut now = 0u64;
+        let mut peak = 0usize;
+        for epoch in 0..100_000u64 {
+            // xorshift64: a fixed, dependency-free pseudo-random stream.
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let x = state;
+            let container = ContainerId::from_parts((x >> 8) as u32 % 4, (x >> 12) as u32 % 16);
+            let spread = [64, 1 << 20, 300_000_000][(x >> 40) as usize % 3];
+            let time = t(now + (x >> 20) % spread);
+            match x % 8 {
+                0..=2 => q.push(time, EventKind::IdleTimeout { container, epoch }),
+                3 | 4 => q.push(time, EventKind::InitComplete { container, epoch }),
+                5 => q.push(time, prewarm((x >> 4) as u32 % 8)),
+                6 => q.push_ladder(time, EventKind::LadderWake),
+                _ => q.retire(container),
+            }
+            peak = peak.max(q.len());
+            while q.len() > 200 {
+                now = q.pop_tick(&mut batch).expect("pending events").as_micros();
+            }
+            assert!(
+                q.wheel.nodes.len() <= peak,
+                "slab holds {} nodes, peak pending {peak}",
+                q.wheel.nodes.len()
+            );
+        }
+        // Drops dwarf the slab, so leaked nodes would have shown.
+        assert!(q.stale_dropped() > 50 * peak as u64);
     }
 
     proptest! {
