@@ -43,8 +43,9 @@
 //! * `--policy <name>` (repeatable) — restrict the run for profiling;
 //!   filtered runs print numbers but skip the artifact write so the
 //!   `BENCH_<seq>.json` series stays full-suite comparable;
-//! * `--profile` — per-event-kind dispatch breakdown through the
-//!   profiled materialized pipeline (skips the artifact write);
+//! * `--profile` — per-event-kind dispatch breakdown and event-queue
+//!   work per invocation through the profiled materialized pipeline
+//!   (skips the artifact write);
 //! * `--identity` — assert the sharded streaming report is
 //!   byte-identical to the sequential materialized pipeline on the full
 //!   configured trace, then exit;
@@ -211,6 +212,14 @@ fn print_profile(name: &str, profile: &EngineProfile) {
             profile.nanos[i] as f64 / 1e6
         );
     }
+    let per_inv = |n: u64| n as f64 / profile.invocations.max(1) as f64;
+    let queue = &profile.queue;
+    println!(
+        "    event queue: {:.3} pushes, {:.3} cascade moves, {:.3} stale drops per invocation",
+        per_inv(queue.pushes),
+        per_inv(queue.cascade_moves),
+        per_inv(queue.stale_dropped)
+    );
 }
 
 /// Per-policy wall-clock invocations/s from the newest

@@ -216,6 +216,8 @@ pub struct Instant(u64);
 impl Instant {
     /// The origin of the simulation clock.
     pub const ZERO: Instant = Instant(0);
+    /// The latest representable instant; an "unbounded" time limit.
+    pub const MAX: Instant = Instant(u64::MAX);
 
     /// Creates an instant a given number of microseconds after the origin.
     pub const fn from_micros(us: u64) -> Self {

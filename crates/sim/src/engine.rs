@@ -33,7 +33,7 @@ use rainbowcake_trace::Arrival;
 use crate::concurrency::transition_overhead;
 use crate::config::SimConfig;
 use crate::container::{AssignedInvocation, Container, LadderState};
-use crate::event::{Event, EventKind, EventQueue};
+use crate::event::{Event, EventKind, EventQueue, QueueStats};
 use crate::pool::Pool;
 
 /// A scheduled ladder-boundary settlement: `(boundary, arm_seq, id,
@@ -72,11 +72,17 @@ enum Placement {
 /// With `profile`, the run also counts dispatched events per kind into
 /// it and, unless it was built by [`EngineProfile::counting`], times
 /// their handlers (one clock read per grouped run of same-kind events).
-/// The run's completed invocations and the policy's history counters
-/// are added to the profile too. Profiling never changes the report.
+/// The run's completed invocations, its event-queue work counters and
+/// the policy's history counters are added to the profile too.
+/// Profiling never changes the report.
 ///
 /// The run is fully deterministic given the catalog, arrivals, config,
 /// and the policy's own state.
+///
+/// # Panics
+///
+/// Panics if an arrival's time is earlier than the arrival before it
+/// (within the horizon): the stream must be time-sorted.
 pub fn run(
     catalog: &Catalog,
     policy: &mut dyn Policy,
@@ -132,6 +138,8 @@ pub struct EngineProfile {
     /// History-recorder query counters, if the policy keeps a recorder
     /// ([`Policy::history_stats`]); zeroed otherwise.
     pub history: HistoryStats,
+    /// Event-queue work counters (pushes, cascade moves, stale drops).
+    pub queue: QueueStats,
     /// When set, the dispatch loop bumps `counts` but never reads the
     /// clock, leaving `nanos` zero.
     pub counting: bool,
@@ -165,6 +173,7 @@ impl EngineProfile {
         }
         self.invocations += other.invocations;
         self.history.merge(&other.history);
+        self.queue.merge(&other.queue);
     }
 
     /// Total events across all kinds.
@@ -203,10 +212,6 @@ struct Engine<'a> {
     /// while memory pressure holds invocations back.
     wake_armed: Option<Instant>,
     pending: VecDeque<QueuedInvocation>,
-    /// Arrival events currently in the queue. The feed loop keeps this
-    /// positive while unfed arrivals remain, so the queue head always
-    /// bounds the next arrival's time (see [`Engine::run`]).
-    arrivals_in_queue: usize,
     horizon: Instant,
     first_arrival: Vec<Option<Instant>>,
     /// First catalog profile per language (downgrade-footprint anchor),
@@ -267,7 +272,6 @@ impl<'a> Engine<'a> {
             settle_seq: 0,
             wake_armed: None,
             pending: VecDeque::new(),
-            arrivals_in_queue: 0,
             horizon: Instant::ZERO + horizon,
             first_arrival: vec![None; catalog.len()],
             anchor_by_lang,
@@ -299,11 +303,11 @@ impl<'a> Engine<'a> {
         false
     }
 
-    /// Dispatches one tick's drained events in grouped runs of
-    /// same-kind events, so the per-event work is a direct handler call
-    /// instead of a queue pop plus an enum match. Handler order is
-    /// exactly per-event pop order — see `EventQueue::pop_tick` for the
-    /// argument.
+    /// Dispatches one tick's events in grouped runs of same-kind
+    /// events, so the per-event work is a direct handler call instead of
+    /// a queue pop plus an enum match. The batch holds the tick's stream
+    /// arrivals, then the queue's events in per-event pop order — see
+    /// `EventQueue::drain_tick` for the argument.
     ///
     /// Ladder boundaries strictly before the tick are settled first, so
     /// every handler observes the pool exactly as the eager per-rung
@@ -379,22 +383,16 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The run loop: interleaves feeding arrivals from the lazy stream
-    /// with dispatching ticks, then closes the books.
+    /// The run loop: merges the sorted arrival stream with the event
+    /// queue tick by tick, then closes the books.
     ///
-    /// Correctness invariant: before every `peek_time` the earliest
-    /// unfed arrival's time is at or above the queue head, so the
-    /// wheel's cursor advance can never pass an unfed arrival. It holds
-    /// because (a) whenever no arrival event is in the queue, the next
-    /// arrival is pushed unconditionally (its time is above the last
-    /// dispatched tick, hence above the cursor), and (b) when one *is*
-    /// in the queue, the head is at or below that arrival's time and
-    /// unfed arrivals — sorted — are at or above it. After peeking, the
-    /// feed loop pulls in every arrival at or before the head, so the
-    /// dispatched tick sees exactly the arrivals an up-front push would
-    /// have given it: arrivals draw sequence numbers from the queue's
-    /// low band, so at any tick they sort before every runtime event no
-    /// matter how late they were fed.
+    /// Arrivals never enter the queue. Each step peeks the queue only up
+    /// to the next arrival's time, so its cursor never passes that
+    /// arrival and the arrival's handlers may still schedule at its
+    /// tick. The tick is the earlier of the two; its batch is the
+    /// stream's arrivals at that tick in stream order, then the queue's
+    /// events in sequence order, so an arrival is handled before every
+    /// queued event sharing its microsecond.
     fn run(
         mut self,
         arrivals: impl IntoIterator<Item = Arrival>,
@@ -409,31 +407,45 @@ impl<'a> Engine<'a> {
             .peekable();
         let mut batch: Vec<Event> = Vec::new();
         loop {
-            if self.arrivals_in_queue == 0 {
-                if let Some(a) = arrivals.next() {
-                    self.events.push_arrival(a.time, a.function);
-                    self.arrivals_in_queue += 1;
-                }
+            let next_arrival = arrivals.peek().map(|a| a.time);
+            if let Some(t) = next_arrival {
+                // Every tick so far was at or before the arrival then
+                // next, so a sorted stream never reads behind the clock.
+                assert!(
+                    t >= self.now,
+                    "arrivals must be sorted by time: an arrival at {t} comes after simulated time {}",
+                    self.now
+                );
             }
-            let Some(head) = self.events.peek_time() else {
-                debug_assert!(arrivals.peek().is_none(), "unfed arrivals but empty queue");
+            let queued = self
+                .events
+                .peek_time_until(next_arrival.unwrap_or(Instant::MAX));
+            let Some(tick) = queued.or(next_arrival) else {
                 break;
             };
-            while let Some(a) = arrivals.next_if(|a| a.time <= head) {
-                self.events.push_arrival(a.time, a.function);
-                self.arrivals_in_queue += 1;
-            }
-            let tick = self
-                .events
-                .pop_tick(&mut batch)
-                .expect("peeked head exists");
             debug_assert!(tick >= self.now, "time must not run backwards");
+            batch.clear();
+            // Stream arrivals carry no queue sequence number: their place
+            // in the batch is their order.
+            while let Some(a) = arrivals.next_if(|a| a.time == tick) {
+                batch.push(Event {
+                    time: tick,
+                    seq: 0,
+                    kind: EventKind::Arrival {
+                        function: a.function,
+                    },
+                });
+            }
+            if queued.is_some() {
+                self.events.drain_tick(&mut batch);
+            }
             self.now = tick;
             self.dispatch_batch(&batch, profile.as_deref_mut());
         }
         if let Some(p) = profile.as_deref_mut() {
             p.history
                 .merge(&self.policy.history_stats().unwrap_or_default());
+            p.queue.merge(&self.events.stats());
         }
         let report = self.finish();
         if let Some(p) = profile {
@@ -575,7 +587,6 @@ impl<'a> Engine<'a> {
     // ------------------------------------------------------------------
 
     fn handle_arrival(&mut self, f: FunctionId) {
-        self.arrivals_in_queue -= 1;
         if self.first_arrival[f.index()].is_none() {
             self.first_arrival[f.index()] = Some(self.now);
         }
@@ -1500,7 +1511,9 @@ mod tests {
     use rainbowcake_core::profile::FunctionProfile;
     use rainbowcake_core::rainbow::RainbowCake;
     use rainbowcake_core::types::Language;
+    use rainbowcake_trace::azure::{azure_like_trace, AzureConfig};
     use rainbowcake_trace::Trace;
+    use rainbowcake_workloads::paper_catalog;
 
     /// A configurable test policy: fixed TTL, optional layer sharing,
     /// optional pre-warming.
@@ -2017,6 +2030,103 @@ mod tests {
         let got = run_trace(&cat, &mut handoff, &trace, &cfg);
         assert_eq!(got.records, reference.records);
         assert_eq!(got.waste, reference.waste);
+    }
+
+    /// Runs `p` on arrivals at the given microsecond timestamps (all of
+    /// function 0), no clipping.
+    fn run_at_micros(cat: &Catalog, p: &mut dyn Policy, micros: &[u64]) -> RunReport {
+        let arrivals = micros.iter().map(|&us| Arrival {
+            time: Instant::from_micros(us),
+            function: FunctionId::new(0),
+        });
+        run(cat, p, arrivals, Micros::from_mins(10), &config(), None)
+    }
+
+    #[test]
+    fn arrival_sharing_a_tick_with_a_completion_is_handled_first() {
+        // `config()` has no execution or transition jitter, so a second
+        // run reproduces the first one's completion instant exactly.
+        let mut cat = Catalog::new();
+        cat.push(FunctionProfile::synthetic(
+            FunctionId::new(0),
+            Language::Python,
+        ));
+        let first = run_at_micros(&cat, &mut TestPolicy::keepalive(Micros::from_mins(1)), &[0]);
+        let done = first.records[0].completed_at().as_micros();
+        // A second arrival at exactly that microsecond is handled before
+        // the `ExecComplete`: the container is still running, so the
+        // arrival cannot reuse it warm.
+        let report = run_at_micros(
+            &cat,
+            &mut TestPolicy::keepalive(Micros::from_mins(1)),
+            &[0, done],
+        );
+        assert_eq!(report.records.len(), 2);
+        assert_eq!(report.records[1].arrival.as_micros(), done);
+        assert_ne!(report.records[1].start_type, StartType::WarmUser);
+        // One microsecond later the container is idle and reused warm.
+        let later = run_at_micros(
+            &cat,
+            &mut TestPolicy::keepalive(Micros::from_mins(1)),
+            &[0, done + 1],
+        );
+        assert_eq!(later.records[1].start_type, StartType::WarmUser);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrivals must be sorted by time")]
+    fn unsorted_arrivals_are_rejected() {
+        let cat = catalog();
+        let arrivals = [100u64, 200, 150, 300].map(|s| Arrival {
+            time: Instant::from_micros(s * 1_000_000),
+            function: FunctionId::new(0),
+        });
+        run(
+            &cat,
+            &mut TestPolicy::keepalive(Micros::from_mins(1)),
+            arrivals,
+            Micros::from_secs(400),
+            &config(),
+            None,
+        );
+    }
+
+    #[test]
+    fn queue_pushes_are_delivered_or_dropped_as_stale() {
+        // A real run: RainbowCake on the paper catalog, one Azure-like
+        // hour, memory tight enough to evict and queue. Every event the
+        // queue takes is dispatched or dropped as stale by the end, and
+        // arrivals never enter it.
+        let catalog = paper_catalog();
+        let trace = azure_like_trace(
+            catalog.len(),
+            &AzureConfig {
+                hours: 1,
+                rate_scale: 4.0,
+                ..AzureConfig::default()
+            },
+        );
+        let mut policy = RainbowCake::with_defaults(&catalog).unwrap();
+        let mut profile = EngineProfile::counting();
+        let report = run(
+            &catalog,
+            &mut policy,
+            trace.iter().copied(),
+            trace.horizon(),
+            &SimConfig::with_memory(MemMb::new(4_096)),
+            Some(&mut profile),
+        );
+        let arrivals = profile.counts[kind_rank(&EventKind::Arrival {
+            function: FunctionId::new(0),
+        })];
+        assert_eq!(arrivals, trace.len() as u64);
+        assert!(report.invocations() > 1_000);
+        let queue = profile.queue;
+        assert!(queue.stale_dropped > 0 && queue.cascade_moves > 0);
+        assert_eq!(
+            queue.pushes,
+            profile.total_events() - arrivals + queue.stale_dropped
+        );
     }
 
     #[test]

@@ -9,10 +9,16 @@
 //! survives only as the test-only reference this module's tests check
 //! the wheel against.
 //!
+//! Invocation arrivals never enter the queue. The engine reads them from
+//! the time-sorted trace stream and merges them in front of the queue
+//! with a **bounded peek**, [`EventQueue::peek_time_until`], which never
+//! advances the wheel past the next arrival, so that arrival's handlers
+//! can still schedule at its own tick.
+//!
 //! On top of the wheel the queue maintains per-container
 //! **generation stamps** so that stale container events (the old
 //! `IdleTimeout` left behind by every reuse and every layer downgrade)
-//! are dropped inside `pop` instead of surviving until the engine's
+//! are dropped inside the queue instead of surviving until the engine's
 //! handler filters them. Dropping is a pure optimization: an event is
 //! discarded only when the stamp *proves* the handler would ignore it,
 //! so a missed invalidation degrades to the old filter-at-handler
@@ -30,7 +36,8 @@ use rainbowcake_core::types::{ContainerId, FunctionId};
 /// buffer's capacity is the only heap state involved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// An invocation of `function` arrives.
+    /// An invocation of `function` arrives. The engine builds these from
+    /// its arrival stream; they are never scheduled on the queue.
     Arrival {
         /// Invoked function.
         function: FunctionId,
@@ -165,7 +172,9 @@ struct Wheel {
     free: u32,
     /// Events firing at exactly `cursor`, in seq order.
     current: VecDeque<Event>,
-    /// The current simulation time frontier in microseconds.
+    /// The wheel's time frontier in microseconds. A bounded advance
+    /// never moves it past its limit, so it may lag behind the engine's
+    /// clock.
     cursor: u64,
 }
 
@@ -211,10 +220,10 @@ impl Wheel {
     }
 
     /// Adds an event at exactly `cursor` to `current`, keeping it
-    /// seq-sorted. Runtime seqs are monotone (append would suffice), but
-    /// a lazily fed arrival carries a low-band seq and may come after
-    /// runtime events already in `current`. For monotone pushes the
-    /// partition point is `len()`, so this is a `push_back`.
+    /// seq-sorted. Runtime seqs are monotone, but a ladder-band event
+    /// pushed earlier at this tick must stay behind a runtime event
+    /// pushed after it. When seqs arrive in order the partition point is
+    /// `len()`, so this is a `push_back`.
     fn insert_current(&mut self, event: Event) {
         let at = self.current.partition_point(|e| e.seq < event.seq);
         self.current.insert(at, event);
@@ -242,54 +251,63 @@ impl Wheel {
         self.free = node;
     }
 
-    fn pop(&mut self, stamps: &[Stamp], len: &mut usize, dropped: &mut u64) -> Option<Event> {
-        if self.advance_to_head(stamps, len, dropped) {
-            self.current.pop_front()
-        } else {
-            None
-        }
-    }
-
-    /// Advances `cursor` to the earliest pending timestamp (cascading
-    /// coarser slots down as needed) and returns whether any event is
-    /// pending; on `true`, `current` is non-empty and holds the head
-    /// tick. This is `pop` without the removal, shared by `pop` and
-    /// [`EventQueue::peek_time`].
+    /// Advances `cursor` towards the earliest pending timestamp,
+    /// cascading coarser slots down as needed, but never past `limit`:
+    /// a slot is opened only if its window starts at or before `limit`.
+    /// Returns whether the head tick is at or before `limit`; on `true`,
+    /// `current` is non-empty and holds it. On `false` every pending
+    /// event is later than `limit`, and `cursor <= limit` if it moved, so
+    /// events may still be pushed at `limit`.
     ///
     /// Events the stamp table already proves stale are dropped right
-    /// here (decrementing `len` and counting into `dropped`) instead of
+    /// here (decrementing `len` and counting into `stats`) instead of
     /// being cascaded onward: a reused container's abandoned minutes-out
     /// `IdleTimeout` would otherwise ride the cascade through every
     /// finer level just to be discarded at the head. Dropping earlier
-    /// than `pop` would is unobservable — stamps never un-stale an
+    /// than a drain would is unobservable — stamps never un-stale an
     /// event — and the count keeps `len + stale_dropped` exactly equal
     /// to the heap reference's (this module's tests).
-    fn advance_to_head(&mut self, stamps: &[Stamp], len: &mut usize, dropped: &mut u64) -> bool {
+    fn advance(
+        &mut self,
+        limit: u64,
+        stamps: &[Stamp],
+        len: &mut usize,
+        stats: &mut QueueStats,
+    ) -> bool {
         loop {
             if !self.current.is_empty() {
-                return true;
+                return self.cursor <= limit;
             }
             let Some(level) = (0..LEVELS).find(|&l| self.levels[l].occupied != 0) else {
                 return false;
             };
             let lvl = &mut self.levels[level];
             let slot = lvl.occupied.trailing_zeros();
+            let shift = SLOT_BITS * level as u32;
+            // The slot's window start: the cursor with this level's
+            // group set to `slot` and every finer group cleared. It
+            // bounds every pending event from below.
+            let low_mask = 1u64
+                .checked_shl(shift + SLOT_BITS)
+                .map_or(u64::MAX, |v| v - 1);
+            let start = (self.cursor & !low_mask) | ((slot as u64) << shift);
+            if start > limit {
+                return false;
+            }
             lvl.occupied &= !(1 << slot);
             let mut node = std::mem::replace(&mut lvl.slots[slot as usize], Slot::EMPTY).head;
-            let shift = SLOT_BITS * level as u32;
+            self.cursor = start;
             if level == 0 {
                 // A level-0 slot holds a single exact timestamp: all its
                 // events fire now. Its list is in push order, which is
-                // not seq order: a lazily fed arrival (low band) or a
-                // ladder event (high band) can be linked after
-                // runtime-band events of the same tick. This sort is
-                // what puts the three bands in order.
-                self.cursor = (self.cursor & !(SLOTS as u64 - 1)) | slot as u64;
+                // not seq order: a ladder event (high band) can be
+                // linked before runtime-band events of the same tick.
+                // This sort is what puts the two bands in order.
                 while node != NIL {
                     let Node { event, next } = self.nodes[node as usize];
                     if stale(stamps, &event) {
                         *len -= 1;
-                        *dropped += 1;
+                        stats.stale_dropped += 1;
                     } else {
                         self.current.push_back(event);
                     }
@@ -300,18 +318,13 @@ impl Wheel {
                     .make_contiguous()
                     .sort_unstable_by_key(|e| e.seq);
             } else {
-                // Advance the cursor into this slot's window and relink
-                // its nodes into finer levels.
-                let low_mask = 1u64
-                    .checked_shl(shift + SLOT_BITS)
-                    .map_or(u64::MAX, |v| v - 1);
-                self.cursor = (self.cursor & !low_mask) | ((slot as u64) << shift);
+                // Relink the slot's nodes into finer levels.
                 while node != NIL {
                     let Node { event, next } = self.nodes[node as usize];
                     let t = event.time.as_micros();
                     if stale(stamps, &event) {
                         *len -= 1;
-                        *dropped += 1;
+                        stats.stale_dropped += 1;
                         self.release(node);
                     } else if t == self.cursor {
                         self.insert_current(event);
@@ -321,6 +334,7 @@ impl Wheel {
                             (t ^ self.cursor) >> shift == 0,
                             "a cascade moves events to finer levels only"
                         );
+                        stats.cascade_moves += 1;
                         self.link(node, t);
                     }
                     node = next;
@@ -330,26 +344,17 @@ impl Wheel {
     }
 }
 
-/// First sequence number of the runtime band: events the engine
-/// schedules while running (timers, completions, prewarms) draw seqs
-/// from here up, while arrivals — whether pushed up front from a
-/// materialized trace or fed lazily from a streaming iterator — draw
-/// from the low band starting at 0. The engine never schedules an
-/// arrival at runtime, so within any tick the order is always: arrivals
-/// in trace order, then runtime events in scheduling order — exactly
-/// the order a fully materialized trace produces. That makes lazy
-/// arrival feeding byte-identical to up-front pushing. 2^48 leaves both
-/// bands room for hundreds of trillions of events.
-const RUNTIME_SEQ_BASE: u64 = 1 << 48;
-
 /// First sequence number of the ladder band: terminal ladder timers,
 /// [`EventKind::LadderWake`] wakes and the test-only eager rung timers
-/// sort *after* every arrival and every runtime event sharing their
-/// tick. A ladder boundary at instant `b` therefore becomes visible
-/// strictly after all the tick-`b` work that was scheduled before it —
-/// the same within-tick position the eager downgrade chain gives its
-/// re-armed timers — so the lazy schedule and that oracle order
-/// identically by construction.
+/// sort *after* every runtime event sharing their tick (events the
+/// engine schedules while running draw seqs from 0 up). A ladder
+/// boundary at instant `b` therefore becomes visible strictly after all
+/// the tick-`b` work that was scheduled before it — the same within-tick
+/// position the eager downgrade chain gives its re-armed timers — so the
+/// lazy schedule and that oracle order identically by construction.
+/// Arrivals never enter the queue; the engine hands a tick's arrivals to
+/// its handlers before the queue's events. 2^60 leaves both bands room
+/// for a quintillion events.
 const LADDER_SEQ_BASE: u64 = 1 << 60;
 
 /// A per-container-slot generation stamp: events scheduled for an older
@@ -365,9 +370,9 @@ struct Stamp {
     min_epoch: u64,
 }
 
-/// Stamp-table staleness check shared by [`EventQueue::pop`] and
-/// [`EventQueue::pop_tick`] — a free function so tick draining can run
-/// while the wheel is mutably borrowed.
+/// Stamp-table staleness check shared by the wheel's cascade and the
+/// queue's peek and drain — a free function so it can run while the
+/// wheel is mutably borrowed.
 fn stale(stamps: &[Stamp], event: &Event) -> bool {
     let Some((container, epoch)) = event.kind.guard() else {
         return false;
@@ -399,23 +404,45 @@ fn note_stamp(stamps: &mut Vec<Stamp>, container: ContainerId, epoch: u64) {
     }
 }
 
+/// Work counters of an [`EventQueue`]. They are always on: each is a
+/// plain increment on a path that already touches the event.
+///
+/// Every pushed event is eventually delivered by a drain or dropped as
+/// stale, so once the queue is empty `pushes` equals delivered events
+/// plus `stale_dropped`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Events scheduled.
+    pub pushes: u64,
+    /// Events a cascade relinked from a coarser wheel level into a finer
+    /// one.
+    pub cascade_moves: u64,
+    /// Events discarded as provably stale instead of delivered. The
+    /// wheel drops some mid-cascade, so `len` alone may run below a
+    /// pop-time filter's — but `len + stale_dropped` is exact.
+    pub stale_dropped: u64,
+}
+
+impl QueueStats {
+    /// Adds `other`'s counts to these (for multi-run totals).
+    pub fn merge(&mut self, other: &QueueStats) {
+        self.pushes += other.pushes;
+        self.cascade_moves += other.cascade_moves;
+        self.stale_dropped += other.stale_dropped;
+    }
+}
+
 /// A deterministic future-event list.
 #[derive(Debug)]
 pub struct EventQueue {
     wheel: Wheel,
-    /// Next runtime-band sequence number (starts at
-    /// [`RUNTIME_SEQ_BASE`]).
+    /// Next runtime-band sequence number (starts at 0).
     next_seq: u64,
-    /// Next arrival-band sequence number (starts at 0).
-    next_arrival_seq: u64,
     /// Next ladder-band sequence number (starts at
     /// [`LADDER_SEQ_BASE`]).
     next_ladder_seq: u64,
     len: usize,
-    /// Events discarded as provably stale instead of delivered. The
-    /// wheel drops some mid-cascade, so `len` alone may run below a
-    /// pop-time filter's — but `len + stale_dropped` is exact.
-    stale_dropped: u64,
+    stats: QueueStats,
     /// Generation stamps indexed by pool slot (`ContainerId::slot`).
     stamps: Vec<Stamp>,
 }
@@ -431,98 +458,116 @@ impl EventQueue {
     pub fn new() -> Self {
         EventQueue {
             wheel: Wheel::new(),
-            next_seq: RUNTIME_SEQ_BASE,
-            next_arrival_seq: 0,
+            next_seq: 0,
             next_ladder_seq: LADDER_SEQ_BASE,
             len: 0,
-            stale_dropped: 0,
+            stats: QueueStats::default(),
             stamps: Vec::new(),
         }
     }
 
     /// Schedules `kind` at `time` in the runtime sequence band.
     pub fn push(&mut self, time: Instant, kind: EventKind) {
-        // Scheduling an epoch-guarded event proves the container has
-        // reached that epoch, so anything older is already stale.
-        if let Some((container, epoch)) = kind.guard() {
-            self.note(container, epoch);
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.len += 1;
-        self.wheel.push(Event { time, seq, kind });
+        self.schedule(Event { time, seq, kind });
     }
 
     /// Schedules `kind` at `time` in the high (ladder) sequence band:
-    /// at any tick, ladder events sort after every arrival and every
-    /// runtime event regardless of when they were pushed — see
-    /// [`LADDER_SEQ_BASE`]. Used for ladder terminal timers and
-    /// [`EventKind::LadderWake`].
+    /// at any tick, ladder events sort after every runtime event
+    /// regardless of when they were pushed — see [`LADDER_SEQ_BASE`].
+    /// Used for ladder terminal timers and [`EventKind::LadderWake`].
     pub fn push_ladder(&mut self, time: Instant, kind: EventKind) {
-        if let Some((container, epoch)) = kind.guard() {
-            self.note(container, epoch);
-        }
         let seq = self.next_ladder_seq;
         self.next_ladder_seq += 1;
-        self.len += 1;
-        self.wheel.push(Event { time, seq, kind });
+        self.schedule(Event { time, seq, kind });
     }
 
-    /// Schedules an invocation arrival of `function` at `time` in the
-    /// low (arrival) sequence band: at any tick, arrivals sort before
-    /// every runtime event regardless of when they were fed into the
-    /// queue — see [`RUNTIME_SEQ_BASE`]. Arrivals must be pushed in
-    /// trace order (non-decreasing time).
-    pub fn push_arrival(&mut self, time: Instant, function: FunctionId) {
-        let seq = self.next_arrival_seq;
-        self.next_arrival_seq += 1;
+    fn schedule(&mut self, event: Event) {
+        // Scheduling an epoch-guarded event proves the container has
+        // reached that epoch, so anything older is already stale.
+        if let Some((container, epoch)) = event.kind.guard() {
+            self.note(container, epoch);
+        }
         self.len += 1;
-        self.wheel.push(Event {
-            time,
-            seq,
-            kind: EventKind::Arrival { function },
-        });
+        self.stats.pushes += 1;
+        self.wheel.push(event);
     }
 
-    /// The timestamp of the earliest live pending event, discarding
-    /// provably stale heads along the way (exactly the events `pop`
-    /// would discard).
+    /// The timestamp of the earliest live pending event, if it is at or
+    /// before `limit`; `None` if every pending event is later. Provably
+    /// stale heads are discarded along the way.
     ///
-    /// This advances the wheel's cursor to the head tick, so afterwards
-    /// only events at `>=` the returned time may be pushed. The engine's
-    /// run loop upholds that by construction: it keeps the earliest
-    /// unfed arrival's time at or above the queue head before every
-    /// peek (see `engine::run`).
-    pub fn peek_time(&mut self) -> Option<Instant> {
+    /// The wheel's cursor advances to the returned time, or on `None` to
+    /// at most `limit`, so afterwards events may be pushed at or after
+    /// that time — on `None`, at `limit` itself. The engine passes the
+    /// next arrival's time as `limit`, so the arrival's handlers can
+    /// still schedule at its tick; [`Instant::MAX`] makes the peek
+    /// unbounded. The advance costs one comparison per slot opened.
+    pub fn peek_time_until(&mut self, limit: Instant) -> Option<Instant> {
         let EventQueue {
             wheel,
             len,
-            stale_dropped,
+            stats,
             stamps,
             ..
         } = self;
         loop {
-            if !wheel.advance_to_head(stamps, len, stale_dropped) {
+            if !wheel.advance(limit.as_micros(), stamps, len, stats) {
                 return None;
             }
-            let event = *wheel
-                .current
-                .front()
-                .expect("advance_to_head returned true");
+            let event = *wheel.current.front().expect("advance returned true");
             if stale(stamps, &event) {
                 wheel.current.pop_front();
                 *len -= 1;
-                *stale_dropped += 1;
+                stats.stale_dropped += 1;
                 continue;
             }
             return Some(event.time);
         }
     }
 
+    /// Appends every live event of the head tick to `out`, in `seq`
+    /// order, and removes them from the queue. Call it right after
+    /// [`EventQueue::peek_time_until`] returned that tick; `out` is a
+    /// caller-owned scratch buffer, so its capacity is recycled across
+    /// ticks.
+    ///
+    /// Draining a whole tick is observably identical to popping the
+    /// same events one at a time: the batch is exactly the pending
+    /// events at the tick in total (time, seq) order, and anything a
+    /// handler pushes *at* the tick gets a higher `seq` within its band
+    /// and lands in the next batch, just as it would land after the
+    /// in-flight pops. An event that becomes stale mid-batch (its
+    /// container was reused by an earlier event in the same tick) is
+    /// still delivered, exactly as per-event popping would deliver it —
+    /// the engine's epoch re-checks make it a no-op either way; the
+    /// stamp filter here only drops events already stale at drain time.
+    pub fn drain_tick(&mut self, out: &mut Vec<Event>) {
+        let EventQueue {
+            wheel,
+            len,
+            stats,
+            stamps,
+            ..
+        } = self;
+        // Wheel invariant: `current` holds exactly the events at
+        // `cursor`, the peeked tick, seq-sorted.
+        for event in wheel.current.drain(..) {
+            debug_assert_eq!(event.time.as_micros(), wheel.cursor);
+            *len -= 1;
+            if stale(stamps, &event) {
+                stats.stale_dropped += 1;
+            } else {
+                out.push(event);
+            }
+        }
+    }
+
     /// Records that `container`'s epoch is at least `epoch`: pending
     /// epoch-guarded events below that epoch (or for an older occupant
-    /// of the same pool slot) will be dropped inside [`EventQueue::pop`]
-    /// instead of reaching the engine.
+    /// of the same pool slot) will be dropped inside the queue instead
+    /// of reaching the engine.
     ///
     /// Calling this is never required for correctness — the engine's
     /// handlers re-check epochs against live containers — it only lets
@@ -537,72 +582,8 @@ impl EventQueue {
         self.note(container, u64::MAX);
     }
 
-    /// Pops the earliest live event (FIFO among equal timestamps).
-    /// Events proven stale by the generation stamps are discarded
-    /// silently; skipping them is unobservable because their handlers
-    /// would be no-ops.
-    pub fn pop(&mut self) -> Option<Event> {
-        let EventQueue {
-            wheel,
-            len,
-            stale_dropped,
-            stamps,
-            ..
-        } = self;
-        loop {
-            let event = wheel.pop(stamps, len, stale_dropped)?;
-            *len -= 1;
-            if stale(stamps, &event) {
-                *stale_dropped += 1;
-                continue;
-            }
-            return Some(event);
-        }
-    }
-
-    /// Drains every live event at the earliest pending timestamp into
-    /// `out` (cleared first), in FIFO (`seq`) order, and returns that
-    /// timestamp. `out` is a caller-owned scratch buffer so its
-    /// capacity is recycled across ticks.
-    ///
-    /// Popping a whole tick is observably identical to popping the same
-    /// events one at a time: the batch is exactly the pending events at
-    /// the tick in total (time, seq) order, and anything a handler
-    /// pushes *at* the tick gets a higher `seq` than every batched
-    /// event, so it lands in the next batch just as it would land after
-    /// the in-flight pops. An event that becomes stale mid-batch (its
-    /// container was reused by an earlier event in the same tick) is
-    /// still delivered, exactly as per-event popping would deliver it —
-    /// the engine's epoch re-checks make it a no-op either way; the
-    /// stamp filter here only drops events already stale at drain time.
-    pub fn pop_tick(&mut self, out: &mut Vec<Event>) -> Option<Instant> {
-        out.clear();
-        let first = self.pop()?;
-        let tick = first.time;
-        out.push(first);
-        let EventQueue {
-            wheel,
-            len,
-            stale_dropped,
-            stamps,
-            ..
-        } = self;
-        // Wheel invariant: after a pop, `current` holds exactly the
-        // remaining events at `cursor == tick`, seq-sorted.
-        while let Some(event) = wheel.current.pop_front() {
-            debug_assert_eq!(event.time, tick);
-            *len -= 1;
-            if stale(stamps, &event) {
-                *stale_dropped += 1;
-            } else {
-                out.push(event);
-            }
-        }
-        Some(tick)
-    }
-
-    /// Number of pending events. Stale events count until the wheel
-    /// discards them — mid-cascade or at `pop`.
+    /// Number of pending events. Stale events count until the queue
+    /// discards them — mid-cascade, at a peek or at a drain.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -612,12 +593,9 @@ impl EventQueue {
         self.len == 0
     }
 
-    /// Events discarded as provably stale rather than delivered.
-    /// `len() + stale_dropped()` equals the heap reference's, whichever
-    /// point each drops an event at — the conservation law this
-    /// module's tests check.
-    pub fn stale_dropped(&self) -> u64 {
-        self.stale_dropped
+    /// The queue's work counters so far.
+    pub fn stats(&self) -> QueueStats {
+        self.stats
     }
 }
 
@@ -654,14 +632,33 @@ mod tests {
         }
     }
 
+    impl EventQueue {
+        /// Pops the earliest live event: the per-event reference that
+        /// tick draining is checked against.
+        fn pop(&mut self) -> Option<Event> {
+            self.peek_time_until(Instant::MAX)?;
+            self.len -= 1;
+            self.wheel.current.pop_front()
+        }
+
+        /// Drains the earliest live tick into `out` (cleared first) and
+        /// returns its time: the engine's peek-then-drain, unbounded.
+        fn pop_tick(&mut self, out: &mut Vec<Event>) -> Option<Instant> {
+            out.clear();
+            let tick = self.peek_time_until(Instant::MAX)?;
+            self.drain_tick(out);
+            Some(tick)
+        }
+    }
+
     /// The original `BinaryHeap` future-event list, kept as the naive
-    /// reference the wheel is checked against: the same three sequence
+    /// reference the wheel is checked against: the same two sequence
     /// bands and generation stamps, but a plain heap that filters stale
     /// events only when they reach the head.
     struct HeapQueue {
         heap: BinaryHeap<Event>,
-        /// Next sequence number of the arrival, runtime and ladder band.
-        next_seq: [u64; 3],
+        /// Next sequence number of the runtime and the ladder band.
+        next_seq: [u64; 2],
         len: usize,
         stale_dropped: u64,
         stamps: Vec<Stamp>,
@@ -671,7 +668,7 @@ mod tests {
         fn new() -> Self {
             HeapQueue {
                 heap: BinaryHeap::new(),
-                next_seq: [0, RUNTIME_SEQ_BASE, LADDER_SEQ_BASE],
+                next_seq: [0, LADDER_SEQ_BASE],
                 len: 0,
                 stale_dropped: 0,
                 stamps: Vec::new(),
@@ -688,16 +685,12 @@ mod tests {
             self.heap.push(Event { time, seq, kind });
         }
 
-        fn push_arrival(&mut self, time: Instant, function: FunctionId) {
-            self.schedule(0, time, EventKind::Arrival { function });
-        }
-
         fn push(&mut self, time: Instant, kind: EventKind) {
-            self.schedule(1, time, kind);
+            self.schedule(0, time, kind);
         }
 
         fn push_ladder(&mut self, time: Instant, kind: EventKind) {
-            self.schedule(2, time, kind);
+            self.schedule(1, time, kind);
         }
 
         fn note(&mut self, container: ContainerId, epoch: u64) {
@@ -708,15 +701,23 @@ mod tests {
             self.note(container, u64::MAX);
         }
 
-        fn pop(&mut self) -> Option<Event> {
+        /// The earliest live event's time, dropping stale heads.
+        fn peek_time(&mut self) -> Option<Instant> {
             loop {
-                let event = self.heap.pop()?;
-                self.len -= 1;
+                let event = *self.heap.peek()?;
                 if !stale(&self.stamps, &event) {
-                    return Some(event);
+                    return Some(event.time);
                 }
+                self.heap.pop();
+                self.len -= 1;
                 self.stale_dropped += 1;
             }
+        }
+
+        fn pop(&mut self) -> Option<Event> {
+            self.peek_time()?;
+            self.len -= 1;
+            self.heap.pop()
         }
     }
 
@@ -997,87 +998,14 @@ mod tests {
     }
 
     #[test]
-    fn arrivals_sort_before_runtime_events_at_a_tick() {
-        // Whether an arrival is pushed before or after the runtime
-        // events sharing its tick, it must pop first — the low seq
-        // band guarantees it.
-        let mut q = EventQueue::new();
-        q.push(t(10), prewarm(1));
-        q.push(t(10), prewarm(2));
-        q.push_arrival(t(10), FunctionId::new(7));
-        let order: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
-        assert_eq!(
-            order,
-            vec![
-                EventKind::Arrival {
-                    function: FunctionId::new(7)
-                },
-                prewarm(1),
-                prewarm(2),
-            ]
-        );
-    }
-
-    #[test]
-    fn lazy_arrival_feed_matches_up_front_pushing() {
-        // The streaming pattern: peek the head tick, feed the arrivals
-        // at or before it, dispatch. The pop order must be identical to
-        // pushing every arrival up front.
-        let mut up_front = EventQueue::new();
-        let mut lazy = EventQueue::new();
-        let arrivals = [5u64, 10, 10, 20];
-        for (i, &us) in arrivals.iter().enumerate() {
-            up_front.push_arrival(t(us), FunctionId::new(i as u32));
-        }
-        for q in [&mut up_front, &mut lazy] {
-            q.push(t(10), prewarm(90));
-            q.push(t(20), prewarm(91));
-        }
-        let mut popped_up_front = Vec::new();
-        let mut popped_lazy = Vec::new();
-        let mut fed = arrivals.iter().enumerate();
-        let mut pending = fed.next();
-        loop {
-            // Keep the earliest unfed arrival at/above the head.
-            if let Some((i, &us)) = pending {
-                lazy.push_arrival(t(us), FunctionId::new(i as u32));
-                pending = fed.next();
-            }
-            let Some(head) = lazy.peek_time() else { break };
-            while let Some((i, &us)) = pending {
-                if t(us) > head {
-                    break;
-                }
-                lazy.push_arrival(t(us), FunctionId::new(i as u32));
-                pending = fed.next();
-            }
-            popped_lazy.push(lazy.pop().expect("peeked head exists"));
-        }
-        while let Some(e) = up_front.pop() {
-            popped_up_front.push(e);
-        }
-        assert_eq!(popped_lazy, popped_up_front);
-    }
-
-    #[test]
     fn ladder_band_sorts_last_at_a_tick() {
-        // A ladder event at a tick pops after every arrival and every
-        // runtime event at that tick, even when pushed first.
+        // A ladder event at a tick pops after every runtime event at
+        // that tick, even when pushed first.
         let mut q = EventQueue::new();
         q.push_ladder(t(10), EventKind::LadderWake);
         q.push(t(10), prewarm(1));
-        q.push_arrival(t(10), FunctionId::new(7));
         let order: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
-        assert_eq!(
-            order,
-            vec![
-                EventKind::Arrival {
-                    function: FunctionId::new(7)
-                },
-                prewarm(1),
-                EventKind::LadderWake,
-            ]
-        );
+        assert_eq!(order, vec![prewarm(1), EventKind::LadderWake]);
     }
 
     #[test]
@@ -1120,22 +1048,22 @@ mod tests {
             let (a, b) = (wheel.pop(), heap.pop());
             assert_eq!(a, b);
             assert_eq!(
-                wheel.len() as u64 + wheel.stale_dropped(),
+                wheel.len() as u64 + wheel.stats().stale_dropped,
                 heap.len as u64 + heap.stale_dropped,
             );
             if a.is_none() {
                 break;
             }
         }
-        assert_eq!(wheel.stale_dropped(), 3);
+        assert_eq!(wheel.stats().stale_dropped, 3);
         assert_eq!(heap.stale_dropped, 3);
     }
 
     #[test]
-    fn peek_time_reports_head_and_drops_stale_heads() {
+    fn peek_reports_head_and_drops_stale_heads() {
         let c = ContainerId::new(4);
         let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_time_until(Instant::MAX), None);
         q.push(
             t(10),
             EventKind::IdleTimeout {
@@ -1144,14 +1072,71 @@ mod tests {
             },
         );
         q.push(t(30), prewarm(1));
-        assert_eq!(q.peek_time(), Some(t(10)));
+        assert_eq!(q.peek_time_until(Instant::MAX), Some(t(10)));
         // Invalidate the head: peek must skip to the live event and
         // discard the stale one for good.
         q.note(c, 5);
-        assert_eq!(q.peek_time(), Some(t(30)));
+        assert_eq!(q.peek_time_until(Instant::MAX), Some(t(30)));
         assert_eq!(q.len(), 1);
+        assert_eq!(q.stats().stale_dropped, 1);
         assert_eq!(q.pop().map(|e| e.time), Some(t(30)));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn bounded_peek_stops_at_the_limit() {
+        // An event a second out, an arrival at 500 µs: the peek must
+        // report nothing at or before the arrival and leave the cursor
+        // where the arrival's handlers can still schedule at its tick.
+        let mut q = EventQueue::new();
+        q.push(t(1_000_000), prewarm(0));
+        assert_eq!(q.peek_time_until(t(500)), None);
+        assert!(q.wheel.cursor <= 500);
+        q.push(t(500), prewarm(1));
+        assert_eq!(q.peek_time_until(t(500)), Some(t(500)));
+        let mut batch = Vec::new();
+        q.drain_tick(&mut batch);
+        assert_eq!(
+            batch.iter().map(|e| e.kind).collect::<Vec<_>>(),
+            [prewarm(1)]
+        );
+        // A limit between the two ticks still sees nothing; the head is
+        // reported once the limit reaches it.
+        assert_eq!(q.peek_time_until(t(999_999)), None);
+        assert_eq!(q.peek_time_until(t(1_000_000)), Some(t(1_000_000)));
+        assert_eq!(q.pop().map(|e| e.kind), Some(prewarm(0)));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn stats_count_pushes_and_cascade_moves() {
+        let c = ContainerId::new(1);
+        let mut q = EventQueue::new();
+        // 100 µs out sits at level 1 (cursor 0): one relink down to
+        // level 0 before it pops. 10 µs out sits at level 0 already, and
+        // the retired container's timeout is dropped as stale.
+        q.push(t(100), prewarm(0));
+        q.push(t(10), prewarm(1));
+        q.push_ladder(
+            t(20),
+            EventKind::IdleTimeout {
+                container: c,
+                epoch: 0,
+            },
+        );
+        q.retire(c);
+        let delivered = std::iter::from_fn(|| q.pop()).count() as u64;
+        let stats = q.stats();
+        assert_eq!(delivered, 2);
+        assert_eq!(
+            stats,
+            QueueStats {
+                pushes: 3,
+                cascade_moves: 1,
+                stale_dropped: 1,
+            }
+        );
+        assert_eq!(stats.pushes, delivered + stats.stale_dropped);
     }
 
     #[test]
@@ -1194,7 +1179,7 @@ mod tests {
             );
         }
         // Drops dwarf the slab, so leaked nodes would have shown.
-        assert!(q.stale_dropped() > 50 * peak as u64);
+        assert!(q.stats().stale_dropped > 50 * peak as u64);
     }
 
     proptest! {
@@ -1225,14 +1210,19 @@ mod tests {
                         let time = t(now + a % 100_000_000);
                         high = high.max(time.as_micros());
                         let kind = match b % 5 {
-                            0 => EventKind::Arrival { function: FunctionId::new((c % 6) as u32) },
+                            0 => EventKind::LadderWake,
                             1 => EventKind::InitComplete { container: ctr(b, c), epoch: a % 4 },
                             2 => EventKind::ExecComplete { container: ctr(b, c) },
                             3 => EventKind::IdleTimeout { container: ctr(b, c), epoch: a % 4 },
                             _ => prewarm((c % 6) as u32),
                         };
-                        wheel.push(time, kind);
-                        heap.push(time, kind);
+                        if kind == EventKind::LadderWake {
+                            wheel.push_ladder(time, kind);
+                            heap.push_ladder(time, kind);
+                        } else {
+                            wheel.push(time, kind);
+                            heap.push(time, kind);
+                        }
                     }
                     // Invalidate stale epochs / whole containers.
                     3 => {
@@ -1265,7 +1255,7 @@ mod tests {
                 // stale_dropped` is conserved.
                 prop_assert!(wheel.len() <= heap.len);
                 prop_assert_eq!(
-                    wheel.len() as u64 + wheel.stale_dropped(),
+                    wheel.len() as u64 + wheel.stats().stale_dropped,
                     heap.len as u64 + heap.stale_dropped,
                     "live + stale-dropped must be conserved"
                 );
@@ -1279,17 +1269,16 @@ mod tests {
                 }
             }
             prop_assert!(wheel.is_empty() && heap.len == 0);
-            prop_assert_eq!(wheel.stale_dropped(), heap.stale_dropped);
+            prop_assert_eq!(wheel.stats().stale_dropped, heap.stale_dropped);
         }
 
-        /// `pop_tick` must drain each timestamp's events in the exact
+        /// A drained tick must hold each timestamp's events in the exact
         /// order per-event `pop` yields them — on the wheel itself and on
-        /// the heap reference — under arbitrary interleavings of the
-        /// three sequence bands (arrival, runtime, ladder) at shared
-        /// ticks.
+        /// the heap reference — under arbitrary interleavings of the two
+        /// sequence bands (runtime, ladder) at shared ticks.
         #[test]
         fn pop_tick_same_tick_order_matches_per_event_pops(
-            ops in prop::collection::vec((0u8..4, 0u64..40, any::<u64>()), 1..120),
+            ops in prop::collection::vec((0u8..3, 0u64..40, any::<u64>()), 1..120),
         ) {
             let mut batched = EventQueue::new();
             let mut single = EventQueue::new();
@@ -1299,14 +1288,8 @@ mod tests {
                 let time = t(tick * 1_000);
                 let container = ContainerId::from_parts((x % 3) as u32, 0);
                 match op {
-                    0 => {
-                        let function = FunctionId::new((x % 5) as u32);
-                        batched.push_arrival(time, function);
-                        single.push_arrival(time, function);
-                        heap.push_arrival(time, function);
-                    }
-                    1 | 2 => {
-                        let kind = if op == 1 {
+                    0 | 1 => {
+                        let kind = if op == 0 {
                             EventKind::ExecComplete { container }
                         } else {
                             EventKind::IdleTimeout { container, epoch: 0 }
@@ -1332,6 +1315,103 @@ mod tests {
             }
             prop_assert!(single.pop().is_none());
             prop_assert!(heap.pop().is_none());
+        }
+
+        /// The bounded peek against the heap reference, driven the way
+        /// the engine's run loop drives it: random pushes (from "this
+        /// very microsecond" to minutes out), note/retire invalidations,
+        /// and arrival steps. An arrival step picks a `limit` at or
+        /// above the frontier and peeks with it. On `Some(t)` the wheel's
+        /// drained tick must equal the heap's live events at `t`; on
+        /// `None` the heap must hold nothing live at or before `limit`,
+        /// and the arrival's handlers then schedule at `limit` or later —
+        /// which only works if the cursor stayed at or below `limit`.
+        #[test]
+        fn bounded_peek_matches_heap_reference(
+            ops in prop::collection::vec((0u8..7, any::<u64>(), any::<u64>(), any::<u64>()), 1..200),
+        ) {
+            let mut wheel = EventQueue::new();
+            let mut heap = HeapQueue::new();
+            // The frontier: the last drained tick, or the limit of the
+            // last peek that found nothing. Pushes stay at or after it.
+            let mut now = 0u64;
+            let mut batch = Vec::new();
+            let spread = |x: u64| [1, 64, 1 << 20, 100_000_000][(x % 4) as usize];
+            let ctr = |a: u64, b: u64| ContainerId::from_parts((a % 4) as u32, (b % 8) as u32);
+            let schedule = |wheel: &mut EventQueue, heap: &mut HeapQueue, time: Instant, x: u64, y: u64| {
+                let kind = match x % 5 {
+                    0 => EventKind::LadderWake,
+                    1 => EventKind::InitComplete { container: ctr(x, y), epoch: y % 4 },
+                    2 => EventKind::ExecComplete { container: ctr(x, y) },
+                    3 => EventKind::IdleTimeout { container: ctr(x, y), epoch: y % 4 },
+                    _ => prewarm((y % 6) as u32),
+                };
+                if kind == EventKind::LadderWake {
+                    wheel.push_ladder(time, kind);
+                    heap.push_ladder(time, kind);
+                } else {
+                    wheel.push(time, kind);
+                    heap.push(time, kind);
+                }
+            };
+            for (op, a, b, c) in ops {
+                match op {
+                    0..=2 => schedule(&mut wheel, &mut heap, t(now + a % spread(b)), b >> 2, c),
+                    3 => {
+                        wheel.note(ctr(a, b), c % 5);
+                        heap.note(ctr(a, b), c % 5);
+                    }
+                    4 => {
+                        wheel.retire(ctr(a, b));
+                        heap.retire(ctr(a, b));
+                    }
+                    _ => {
+                        let limit = now + a % spread(b);
+                        match wheel.peek_time_until(t(limit)) {
+                            Some(tick) => {
+                                prop_assert!(tick.as_micros() <= limit);
+                                prop_assert_eq!(heap.peek_time(), Some(tick));
+                                batch.clear();
+                                wheel.drain_tick(&mut batch);
+                                let mut expected = Vec::new();
+                                while heap.peek_time() == Some(tick) {
+                                    expected.extend(heap.pop());
+                                }
+                                prop_assert_eq!(&batch, &expected);
+                                now = tick.as_micros();
+                            }
+                            None => {
+                                prop_assert!(
+                                    heap.peek_time().is_none_or(|h| h.as_micros() > limit),
+                                    "the wheel missed a live event at or before the limit"
+                                );
+                                now = limit;
+                                for k in 0..=(b % 3) {
+                                    let time = t(limit + (c >> (8 * k)) % spread(c >> k));
+                                    schedule(&mut wheel, &mut heap, time, c >> (3 * k), a >> k);
+                                }
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(
+                    wheel.len() as u64 + wheel.stats().stale_dropped,
+                    heap.len as u64 + heap.stale_dropped,
+                    "live + stale-dropped must be conserved"
+                );
+            }
+            // Drain both to the end: the full remaining sequences agree.
+            loop {
+                let (x, y) = (wheel.pop(), heap.pop());
+                prop_assert_eq!(&x, &y);
+                if x.is_none() {
+                    break;
+                }
+            }
+            prop_assert!(wheel.is_empty() && heap.len == 0);
+            let stats = wheel.stats();
+            prop_assert_eq!(stats.stale_dropped, heap.stale_dropped);
+            prop_assert_eq!(stats.pushes, heap.next_seq[0] + heap.next_seq[1] - LADDER_SEQ_BASE);
         }
     }
 }

@@ -228,8 +228,6 @@ struct IndexKey {
     idle: bool,
     /// `Some(owner)` iff idle at `User` layer with an owner.
     idle_user: Option<FunctionId>,
-    /// `Some(language)` iff idle with an installed language.
-    idle_lang: Option<Language>,
     /// `Some(language)` iff idle at exactly the `Lang` layer — the
     /// partial-warm candidates layer-aware policies serve `SharedLang`
     /// grants from.
@@ -255,7 +253,6 @@ impl IndexKey {
             } else {
                 None
             },
-            idle_lang: if idle { c.language() } else { None },
             idle_lang_layer: if idle && layer == Some(Layer::Lang) {
                 c.language()
             } else {
@@ -284,8 +281,6 @@ struct PoolIndex {
     /// owned-or-packed reuse rule can match, so arrivals under that rule
     /// never need to scan the whole idle set.
     idle_packed_by_fn: FnTable<IdSet>,
-    /// Idle containers per installed language (any layer), in id order.
-    idle_by_lang: [IdSet; 3],
     /// Idle containers at exactly the `Lang` layer, per language — the
     /// dense `SharedLang` candidate cache of layer-aware reuse scopes.
     idle_lang_layer: [IdSet; 3],
@@ -326,9 +321,6 @@ impl PoolIndex {
         for &f in packed {
             self.idle_packed_by_fn.entry(f).insert(id);
         }
-        if let Some(lang) = key.idle_lang {
-            self.idle_by_lang[lang.index()].insert(id);
-        }
         if let Some(lang) = key.idle_lang_layer {
             self.idle_lang_layer[lang.index()].insert(id);
         }
@@ -356,9 +348,6 @@ impl PoolIndex {
         }
         for &f in packed {
             self.idle_packed_by_fn.entry(f).remove(id);
-        }
-        if let Some(lang) = key.idle_lang {
-            self.idle_by_lang[lang.index()].remove(id);
         }
         if let Some(lang) = key.idle_lang_layer {
             self.idle_lang_layer[lang.index()].remove(id);
@@ -675,12 +664,6 @@ impl Pool {
             .get(f)
             .into_iter()
             .flat_map(|set| set.iter())
-    }
-
-    /// Ids of idle containers with `language` installed (any layer), in
-    /// id order (index-backed).
-    pub fn idle_language_ids(&self, language: Language) -> impl Iterator<Item = ContainerId> + '_ {
-        self.index.idle_by_lang[language.index()].iter()
     }
 
     /// Ids of idle containers at exactly the `Lang` layer for
@@ -1071,17 +1054,12 @@ mod tests {
             p.idle_user_ids(FunctionId::new(0)).collect::<Vec<_>>(),
             vec![ContainerId::new(0)]
         );
-        assert_eq!(
-            p.idle_language_ids(Language::Python).collect::<Vec<_>>(),
-            vec![ContainerId::new(0)]
-        );
         p.assert_hot_coherent();
 
         // Removal unlinks everywhere.
         p.remove(ContainerId::new(0));
         assert!(!p.has_idle_user(FunctionId::new(0)));
         assert_eq!(p.idle_ids().count(), 0);
-        assert_eq!(p.idle_language_ids(Language::Python).count(), 0);
         p.assert_hot_coherent();
     }
 
@@ -1222,18 +1200,16 @@ mod tests {
             p.idle_lang_layer_ids(Language::Python).collect::<Vec<_>>(),
             vec![ContainerId::new(0)]
         );
-        assert_eq!(p.idle_language_ids(Language::Python).count(), 1);
         assert_eq!(p.idle_bare_ids().count(), 0);
         p.assert_hot_coherent();
 
-        // Lang -> Bare moves it into the bare index and out of every
-        // language index.
+        // Lang -> Bare moves it into the bare index and out of the
+        // lang-layer one.
         {
             let mut c = p.get_mut(ContainerId::new(0)).unwrap();
             c.apply(LifecycleEvent::Downgrade).unwrap();
         }
         assert_eq!(p.idle_lang_layer_ids(Language::Python).count(), 0);
-        assert_eq!(p.idle_language_ids(Language::Python).count(), 0);
         assert_eq!(
             p.idle_bare_ids().collect::<Vec<_>>(),
             vec![ContainerId::new(0)]

@@ -418,17 +418,9 @@ fn assert_pool_indices_match_scan(pool: &mut rainbowcake::sim::pool::Pool) {
         assert_eq!(pool.idle_packed_ids(f).collect::<Vec<_>>(), expect_packed);
     }
 
-    // Per-language idle containers.
+    // Lang-*layer* idle containers per language (the Layered-scope
+    // SharedLang candidate set).
     for lang in [Language::NodeJs, Language::Python, Language::Java] {
-        let expect: Vec<_> = scan
-            .iter()
-            .filter(|c| c.is_idle() && c.language() == Some(lang))
-            .map(|c| c.id)
-            .collect();
-        assert_eq!(pool.idle_language_ids(lang).collect::<Vec<_>>(), expect);
-
-        // Lang-*layer* same-language containers (the Layered-scope
-        // SharedLang candidate set — a strict subset of the above).
         let expect_layer: Vec<_> = scan
             .iter()
             .filter(|c| c.is_idle() && c.layer() == Some(Layer::Lang) && c.language() == Some(lang))
