@@ -215,10 +215,12 @@ fn print_profile(name: &str, profile: &EngineProfile) {
     let per_inv = |n: u64| n as f64 / profile.invocations.max(1) as f64;
     let queue = &profile.queue;
     println!(
-        "    event queue: {:.3} pushes, {:.3} cascade moves, {:.3} stale drops per invocation",
+        "    event queue: {:.3} pushes, {:.3} cascade moves, {:.3} stale drops, \
+         {:.3} deferred re-arms per invocation",
         per_inv(queue.pushes),
         per_inv(queue.cascade_moves),
-        per_inv(queue.stale_dropped)
+        per_inv(queue.stale_dropped),
+        per_inv(queue.deferred)
     );
 }
 

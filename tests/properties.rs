@@ -361,10 +361,19 @@ proptest! {
 // ---------------- pool indices ----------------
 
 /// Asserts every index-backed pool accessor agrees with a linear scan
-/// of the primary container map: same candidate set, same (id-ordered)
-/// deterministic order.
+/// of the primary container map: the same candidate set everywhere, and
+/// the same id order for the id-ordered accessors (idle ids, idle
+/// containers, views, the packed index). The per-owner and per-layer
+/// lists are unordered, so they are compared as sorted sets.
 fn assert_pool_indices_match_scan(pool: &mut rainbowcake::sim::pool::Pool) {
+    use rainbowcake::core::types::ContainerId;
     use rainbowcake::sim::container::Container;
+
+    fn sorted(ids: impl Iterator<Item = ContainerId>) -> Vec<ContainerId> {
+        let mut ids: Vec<_> = ids.collect();
+        ids.sort_unstable();
+        ids
+    }
 
     // The struct-of-arrays hot mirror must agree field-for-field with
     // the slab cold state before any index is trusted (the indices are
@@ -407,7 +416,7 @@ fn assert_pool_indices_match_scan(pool: &mut rainbowcake::sim::pool::Pool) {
             .filter(|c| c.is_idle() && c.layer() == Some(Layer::User) && c.owner() == Some(f))
             .map(|c| c.id)
             .collect();
-        assert_eq!(pool.idle_user_ids(f).collect::<Vec<_>>(), expect);
+        assert_eq!(sorted(pool.idle_user_ids(f)), expect);
         assert_eq!(pool.has_idle_user(f), !expect.is_empty());
 
         let expect_packed: Vec<_> = scan
@@ -426,10 +435,7 @@ fn assert_pool_indices_match_scan(pool: &mut rainbowcake::sim::pool::Pool) {
             .filter(|c| c.is_idle() && c.layer() == Some(Layer::Lang) && c.language() == Some(lang))
             .map(|c| c.id)
             .collect();
-        assert_eq!(
-            pool.idle_lang_layer_ids(lang).collect::<Vec<_>>(),
-            expect_layer
-        );
+        assert_eq!(sorted(pool.idle_lang_layer_ids(lang)), expect_layer);
     }
 
     // Bare-layer idle containers (the Layered-scope SharedBare set).
@@ -438,7 +444,7 @@ fn assert_pool_indices_match_scan(pool: &mut rainbowcake::sim::pool::Pool) {
         .filter(|c| c.is_idle() && c.layer() == Some(Layer::Bare))
         .map(|c| c.id)
         .collect();
-    assert_eq!(pool.idle_bare_ids().collect::<Vec<_>>(), expect_bare);
+    assert_eq!(sorted(pool.idle_bare_ids()), expect_bare);
 
     // Per-container hot-array accessors the engine scores from.
     for c in scan.iter().filter(|c| c.is_idle()) {

@@ -77,23 +77,16 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCS.with(Cell::get) - before)
 }
 
-/// Runs the policy `name` on the paper catalog over a pre-materialized
-/// 24-hour trace and asserts the run stays under the allocation ceiling.
-fn assert_allocation_free(name: &str) {
-    let catalog = paper_catalog();
-    let trace = azure_like_trace(
-        catalog.len(),
-        &AzureConfig {
-            hours: 24,
-            rate_scale: 3.0,
-            ..AzureConfig::default()
-        },
-    );
+/// Runs the policy `name` on `catalog` over a pre-materialized
+/// Azure-like trace and asserts the run stays under the allocation
+/// ceiling.
+fn assert_allocation_free(name: &str, catalog: &Catalog, azure: AzureConfig) {
+    let trace = azure_like_trace(catalog.len(), &azure);
     let config = SimConfig::default();
-    let mut policy = make_policy(name, &catalog);
+    let mut policy = make_policy(name, catalog);
     let (report, allocs) = counted(|| {
         run(
-            &catalog,
+            catalog,
             policy.as_mut(),
             trace.iter().copied(),
             trace.horizon(),
@@ -111,12 +104,37 @@ fn assert_allocation_free(name: &str) {
     );
 }
 
+/// A 24-hour paper-catalog trace at 3x.
+fn paper_day() -> AzureConfig {
+    AzureConfig {
+        hours: 24,
+        rate_scale: 3.0,
+        ..AzureConfig::default()
+    }
+}
+
 #[test]
 fn openwhisk_does_not_allocate_per_invocation() {
-    assert_allocation_free("OpenWhisk");
+    assert_allocation_free("OpenWhisk", &paper_catalog(), paper_day());
 }
 
 #[test]
 fn rainbowcake_does_not_allocate_per_invocation() {
-    assert_allocation_free("RainbowCake");
+    assert_allocation_free("RainbowCake", &paper_catalog(), paper_day());
+}
+
+/// A wide catalog: 1000 functions, each with its own idle and
+/// attachable lists, so per-function index storage that grew with use
+/// would show here.
+#[test]
+fn rainbowcake_on_a_wide_catalog_does_not_allocate_per_invocation() {
+    assert_allocation_free(
+        "RainbowCake",
+        &synthetic_catalog(1000),
+        AzureConfig {
+            hours: 6,
+            rate_scale: 0.05,
+            ..AzureConfig::default()
+        },
+    );
 }
