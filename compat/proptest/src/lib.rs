@@ -8,7 +8,9 @@
 //! per-test seed (derived from the test's module path and name), and
 //! there is **no shrinking** — a failing case panics with the assert's
 //! own message. That is sufficient for the workspace's invariant tests
-//! and keeps the repository buildable without a network.
+//! and keeps the repository buildable without a network. As upstream,
+//! the `PROPTEST_CASES` environment variable sets the case count of
+//! blocks that use the default config.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,9 +36,19 @@ impl ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 64 cases, or the `PROPTEST_CASES` environment variable's count
+    /// when it parses, as upstream proptest's default does. Blocks with
+    /// an explicit [`ProptestConfig::with_cases`] ignore the variable.
     fn default() -> Self {
-        ProptestConfig { cases: 64 }
+        ProptestConfig {
+            cases: default_cases(std::env::var("PROPTEST_CASES").ok().as_deref()),
+        }
     }
+}
+
+/// The default case count given the `PROPTEST_CASES` value, if set.
+fn default_cases(var: Option<&str>) -> u32 {
+    var.and_then(|v| v.trim().parse().ok()).unwrap_or(64)
 }
 
 /// A generator of random values of one type.
@@ -242,6 +254,13 @@ mod tests {
             // Body runs; the case count is not observable here, but the
             // macro path with an explicit config must compile and run.
         }
+    }
+
+    #[test]
+    fn proptest_cases_sets_the_default_count() {
+        assert_eq!(crate::default_cases(None), 64);
+        assert_eq!(crate::default_cases(Some("4096")), 4096);
+        assert_eq!(crate::default_cases(Some("lots")), 64);
     }
 
     #[test]
