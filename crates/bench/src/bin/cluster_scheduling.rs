@@ -6,7 +6,9 @@ use rainbowcake_bench::print_table;
 use rainbowcake_core::mem::MemMb;
 use rainbowcake_core::policy::Policy;
 use rainbowcake_core::rainbow::RainbowCake;
-use rainbowcake_sim::cluster::{run_cluster, LeastLoaded, LocalitySharingLoad, RoundRobin, Router};
+use rainbowcake_sim::cluster::{
+    run_cluster_streaming, LeastLoaded, LocalitySharingLoad, RoundRobin, Router,
+};
 use rainbowcake_sim::SimConfig;
 use rainbowcake_trace::azure::{azure_like_trace, AzureConfig};
 use rainbowcake_workloads::paper_catalog;
@@ -34,17 +36,19 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
+    let factory =
+        || Box::new(RainbowCake::with_defaults(&catalog).expect("valid")) as Box<dyn Policy>;
     for router in routers.iter_mut() {
-        let mut factory =
-            || Box::new(RainbowCake::with_defaults(&catalog).expect("valid")) as Box<dyn Policy>;
-        let report = run_cluster(
+        let report = run_cluster_streaming(
             &catalog,
-            &mut factory,
-            &trace,
+            &factory,
+            trace.iter().copied(),
+            trace.horizon(),
             4,
             &per_worker,
             router.as_mut(),
-        );
+        )
+        .report;
         rows.push(vec![
             report.router.to_string(),
             format!("{}", report.completed()),

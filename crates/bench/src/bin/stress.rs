@@ -1,90 +1,49 @@
-//! Million-invocation stress run: drives a large synthesized
-//! multi-worker trace through all six §7.1 policies and records engine
-//! throughput plus per-policy peak-memory growth into the
-//! `BENCH_<seq>.json` artifact series (schema `rainbowcake-stress/6`;
-//! `/1`–`/5` artifacts are still readable as perf baselines).
+//! Scale checks of the streaming cluster pipeline that the simbench
+//! benchmark does not make: byte identity against the sequential
+//! reference, and flat memory on long streams. Throughput is measured by
+//! simbench; this binary times nothing it asserts on.
 //!
-//! Schema `/4` additions: every policy row carries the History
-//! Recorder's query counters (`history`: rate queries, compound-scope
-//! queries, scope hits — always zero since the scope memo was removed —
-//! member scans, fitted terms; all zero for policies without a
-//! recorder), and the scaling section gains a
-//! `streaming` point that re-runs RainbowCake on a trace scaled past
-//! 10^8 invocations to prove the streaming pipeline's memory stays
-//! flat (bounded by channel depth, not trace length) at full speed.
+//! Modes (one is required; without one the binary prints its usage and
+//! exits non-zero):
 //!
-//! Schema `/5` additions: every policy row carries `events` (total
-//! engine events dispatched, counted by the shards with zero clock
-//! reads) and `events_per_invocation` — the timer-pressure figure the
-//! lazy downgrade path exists to shrink.
+//! * `--smoke` — a one-hour Azure-like trace through all six §7.1
+//!   policies: the streaming cluster ([`run_cluster_streaming`]) must
+//!   reproduce the sequential reference ([`run_cluster`]) byte for byte
+//!   at 1, 2 and `--shards` shards.
+//! * `--smoke --hours H` (H > 1) — the long stream: an H-hour trace at
+//!   `--rate-scale X` (default 16) streams through RainbowCake, and the
+//!   process's peak RSS must stay within 64 MB, a bound that does not
+//!   grow with the trace. `--smoke --hours 48 --rate-scale 800` is the
+//!   10^8-invocation point.
+//! * `--identity` — the smoke's equality on the full trace (`--hours`,
+//!   default 48, at `--rate-scale`, default 16) at `--shards` shards, for
+//!   every policy or only those named by repeatable `--policy <name>`.
 //!
-//! Schema `/6` drops `/5`'s `timer_mode` (the lazy ladder schedule is
-//! the only one) and renames the throughput keys after what they count,
-//! completed invocations per second: `events_per_s` became
-//! `invocations_per_s` and `calibrated_events_per_s` became
-//! `calibrated_invocations_per_s`.
-//!
-//! The trace is never materialized: each policy run consumes the
-//! Azure-like workload from its compact per-minute series through
-//! [`run_cluster_streaming`] — the calling thread routes arrivals
-//! online with the §8 Locality+Sharing+Load scheduler into bounded
-//! per-shard queues, and every shard executes its subsequence on its
-//! own OS thread with streaming metrics. Peak memory is bounded by the
-//! channel depth, not the invocation count, and the per-shard reports
-//! reduce deterministically, so the result is byte-identical to the
-//! sequential materialized pipeline (`--identity` asserts exactly that
-//! at full scale; `--smoke` and `tests/cluster_identity.rs` pin it at
-//! CI scale).
-//!
-//! Flags:
-//!
-//! * `--shards N` — shard (= worker) count, default 4;
-//! * `--hours H`, `--rate-scale X` — trace volume, default 48 h at 16x;
-//! * `--policy <name>` (repeatable) — restrict the run for profiling;
-//!   filtered runs print numbers but skip the artifact write so the
-//!   `BENCH_<seq>.json` series stays full-suite comparable;
-//! * `--profile` — per-event-kind dispatch breakdown and event-queue
-//!   work per invocation through the profiled materialized pipeline
-//!   (skips the artifact write);
-//! * `--identity` — assert the sharded streaming report is
-//!   byte-identical to the sequential materialized pipeline on the full
-//!   configured trace, then exit;
-//! * `--smoke` — the CI guard: a one-hour trace through the sequential,
-//!   parallel and profiled runs and both cluster pipelines with
-//!   byte-identity asserts, then per-policy throughput floors against
-//!   the committed artifact.
-//!   With `--hours H` (H > 1) it becomes the long-stream smoke
-//!   instead: stream an H-hour trace through RainbowCake and assert
-//!   the process RSS stays flat — the guard for the streaming
-//!   pipeline's O(1)-memory claim (`--smoke --hours 96` in CI).
-//!
-//! Besides the measured wall-clock `invocations_per_s`, every row
-//! records the derived `calibrated_invocations_per_s` = completed /
-//! max(router CPU s, slowest shard CPU s): the throughput the pipeline
-//! would sustain once every shard thread has a core of its own. On a
-//! machine with >= shards cores the two numbers converge; on a 1-core
-//! box the wall figure time-slices all shards onto one core and the
-//! calibrated figure is the scaling signal (same convention as the
-//! busy-time calibration in EXPERIMENTS.md).
+//! `--shards N` (default 4) sets the shard count: each shard is one
+//! worker engine on its own OS thread, fed by the streaming router. The
+//! trace is never materialized on the streaming side, so its memory is
+//! bounded by the channel depth, not the invocation count; the
+//! sequential reference materializes it.
 
 use std::time::Instant as WallInstant;
 
-use rainbowcake_bench::{make_policy, parallel, BASELINE_NAMES};
-use rainbowcake_core::history::HistoryStats;
+use rainbowcake_bench::{make_policy, BASELINE_NAMES};
 use rainbowcake_core::profile::Catalog;
-use rainbowcake_metrics::json::{escape_str, fmt_f64};
-use rainbowcake_metrics::RunReport;
 use rainbowcake_sim::cluster::{
-    route_trace, run_cluster, run_cluster_streaming, LocalitySharingLoad, ShardedRun,
+    run_cluster, run_cluster_streaming, ClusterReport, LocalitySharingLoad, ShardedRun,
 };
-use rainbowcake_sim::{run, EngineProfile, SimConfig};
-use rainbowcake_trace::azure::{azure_like_stream, azure_like_trace, AzureConfig, AzureStream};
+use rainbowcake_sim::SimConfig;
+use rainbowcake_trace::azure::{azure_like_stream, AzureConfig, AzureStream};
 use rainbowcake_trace::Trace;
 use rainbowcake_workloads::paper_catalog;
 
-/// Default shard count: each shard is one worker engine on its own OS
-/// thread, fed by the streaming router. Override with `--shards N`.
+/// Default shard count. Override with `--shards N`.
 const DEFAULT_SHARDS: usize = 4;
+
+const USAGE: &str = "usage: stress --smoke [--shards N]
+       stress --smoke --hours H [--rate-scale X] [--shards N]
+       stress --identity [--hours H] [--rate-scale X] [--shards N] [--policy NAME]...
+";
 
 /// Peak resident set size of this process in kB (`VmHWM`), or 0 when
 /// `/proc` is unavailable.
@@ -102,6 +61,14 @@ fn peak_rss_kb() -> u64 {
             })
         })
         .unwrap_or(0)
+}
+
+/// Every run here keeps bounded-memory streaming metrics.
+fn streaming_config() -> SimConfig {
+    SimConfig {
+        streaming_metrics: true,
+        ..SimConfig::default()
+    }
 }
 
 /// Runs `name` over the streamed workload as a sharded cluster: routing
@@ -129,254 +96,109 @@ fn run_policy_sharded(
 
 /// The sequential reference for [`run_policy_sharded`]: materialize the
 /// stream, route it up front, run every worker in order on the calling
-/// thread. Memory scales with the trace length — only `--identity`,
-/// `--smoke` and `--profile` take this path.
+/// thread. Memory scales with the trace length.
 fn run_policy_sequential(
     catalog: &Catalog,
     name: &str,
     stream: &AzureStream,
     shards: usize,
     config: &SimConfig,
-) -> rainbowcake_sim::cluster::ClusterReport {
+) -> ClusterReport {
     let trace = Trace::from_arrivals(stream.horizon(), stream.iter().collect());
     let mut router = LocalitySharingLoad::default();
     let mut factory = || make_policy(name, catalog);
     run_cluster(catalog, &mut factory, &trace, shards, config, &mut router)
 }
 
-/// Executes `policy` over every sub-trace, fanned out over `threads`
-/// (0 = sequential on the calling thread). With `profile`, every
-/// worker's dispatch profile is merged into it.
-fn run_policy(
+/// Asserts that `name`'s `shards`-shard streaming cluster serializes
+/// exactly like the sequential reference, and returns the streaming run.
+fn assert_streaming_matches_sequential(
     catalog: &Catalog,
     name: &str,
-    subs: &[Trace],
+    stream: &AzureStream,
+    shards: usize,
     config: &SimConfig,
-    threads: usize,
-    mut profile: Option<&mut EngineProfile>,
-) -> Vec<RunReport> {
-    let profiled = profile.is_some();
-    let jobs: Vec<_> = subs
-        .iter()
-        .map(|sub| {
-            move || {
-                let mut policy = make_policy(name, catalog);
-                let mut worker = EngineProfile::default();
-                let report = run(
-                    catalog,
-                    policy.as_mut(),
-                    sub.iter().copied(),
-                    sub.horizon(),
-                    config,
-                    profiled.then_some(&mut worker),
-                );
-                (report, worker)
-            }
-        })
-        .collect();
-    let pairs: Vec<(RunReport, EngineProfile)> = if threads == 0 {
-        jobs.into_iter().map(|j| j()).collect()
-    } else {
-        parallel::run_jobs_on(threads, jobs)
-    };
-    pairs
-        .into_iter()
-        .map(|(report, worker)| {
-            if let Some(total) = profile.as_deref_mut() {
-                total.merge(&worker);
-            }
-            report
-        })
-        .collect()
-}
-
-/// Prints the per-event-kind dispatch breakdown of a profiled run.
-fn print_profile(name: &str, profile: &EngineProfile) {
-    let total_ns: u64 = profile.nanos.iter().sum();
-    println!(
-        "  profile {name}: {} events dispatched in {:.3} s of handler time \
-         ({:.2} events/invocation)",
-        profile.total_events(),
-        total_ns as f64 / 1e9,
-        profile.events_per_invocation()
+) -> ShardedRun {
+    let sharded = run_policy_sharded(catalog, name, stream, shards, config);
+    let reference = run_policy_sequential(catalog, name, stream, shards, config).to_json();
+    assert!(
+        sharded.report.to_json() == reference,
+        "{name}: {shards}-shard streaming cluster diverged from the sequential reference"
     );
-    for (i, kind) in EngineProfile::KIND_NAMES.iter().enumerate() {
-        let share = if total_ns > 0 {
-            100.0 * profile.nanos[i] as f64 / total_ns as f64
-        } else {
-            0.0
-        };
-        println!(
-            "    {kind:<13} {:>10} events  {:>9.3} ms  {share:>5.1}%",
-            profile.counts[i],
-            profile.nanos[i] as f64 / 1e6
-        );
-    }
-    let per_inv = |n: u64| n as f64 / profile.invocations.max(1) as f64;
-    let queue = &profile.queue;
-    println!(
-        "    event queue: {:.3} pushes, {:.3} cascade moves, {:.3} stale drops, \
-         {:.3} deferred re-arms per invocation",
-        per_inv(queue.pushes),
-        per_inv(queue.cascade_moves),
-        per_inv(queue.stale_dropped),
-        per_inv(queue.deferred)
-    );
+    sharded
 }
 
-/// Per-policy wall-clock invocations/s from the newest
-/// `BENCH_<seq>.json` artifact in `dir` carrying the stress schema, if
-/// any.
-fn baseline_invocations_per_s(dir: &str) -> Option<(String, Vec<(String, f64)>)> {
-    let existing: Vec<String> = (1..10_000)
-        .map(|i| format!("{dir}/BENCH_{i:04}.json"))
-        .filter(|p| std::path::Path::new(p).exists())
-        .collect();
-    for path in existing.into_iter().rev() {
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        let rows = artifact_invocations_per_s(&text);
-        if !rows.is_empty() {
-            return Some((path, rows));
-        }
-    }
-    None
-}
-
-/// The `(policy, wall-clock invocations/s)` rows of one stress artifact;
-/// empty unless it carries schema `rainbowcake-stress/1` to `/6`.
-/// Schemas `/1`–`/5` recorded the same figure as `events_per_s`.
-fn artifact_invocations_per_s(text: &str) -> Vec<(String, f64)> {
-    let Some(version) =
-        (1..=6).find(|v| text.contains(&format!("\"schema\":\"rainbowcake-stress/{v}\"")))
-    else {
-        return Vec::new();
-    };
-    let key = if version <= 5 {
-        "\"events_per_s\":"
-    } else {
-        "\"invocations_per_s\":"
-    };
-    text.split("{\"name\":\"")
-        .skip(1)
-        .filter_map(|chunk| {
-            let name = chunk.split('"').next()?;
-            let ips = chunk
-                .split(key)
-                .nth(1)?
-                .split([',', '}'])
-                .next()?
-                .trim()
-                .parse::<f64>()
-                .ok()?;
-            Some((name.to_string(), ips))
-        })
-        .collect()
-}
-
-/// Fraction of a policy's recorded invocations/s it must reach in the CI
-/// perf smoke. Applied per policy, so a regression localized to one
-/// backend (e.g. only RainbowCake's layer-scoring path) trips CI even
-/// when the cheap baselines still sail past a shared floor.
-const PERF_FLOOR_RATIO: f64 = 0.6;
-
-/// Per-policy throughput floors against the committed stress artifact:
-/// every policy must reach [`PERF_FLOOR_RATIO`] of its recorded
-/// invocations/s on a scaled-down trace, so a future change can't silently
-/// re-quadratify the eviction path without tripping CI. All violations
-/// are collected and reported together before failing.
-fn perf_smoke(shards: usize) {
-    let dir = std::env::var("PERF_BASELINE_DIR").unwrap_or_else(|_| ".".to_string());
-    let Some((path, baseline)) = baseline_invocations_per_s(&dir) else {
-        println!("perf smoke: no rainbowcake-stress/{{1..6}} artifact found, skipping");
-        return;
-    };
-    if cfg!(debug_assertions) {
-        println!("perf smoke: debug build, skipping throughput floors");
-        return;
-    }
+/// `--smoke`: the streaming cluster equals the sequential reference for
+/// every policy at 1, 2 and `shards` shards on a one-hour trace.
+fn smoke(shards: usize) {
     let catalog = paper_catalog();
-    // Large enough to amortize startup, small enough for CI: ~4% of the
-    // full stress trace.
     let stream = azure_like_stream(
         catalog.len(),
         &AzureConfig {
-            hours: 8,
-            rate_scale: 4.0,
+            hours: 1,
             ..AzureConfig::default()
         },
     );
-    let config = SimConfig {
-        streaming_metrics: true,
-        ..SimConfig::default()
-    };
-    let mut violations = Vec::new();
-    for (name, base_ips) in &baseline {
-        // Best of two: absorbs one-off cache/alloc warmup noise.
-        let mut best = 0.0f64;
-        for _ in 0..2 {
-            let t0 = WallInstant::now();
-            let sharded = run_policy_sharded(&catalog, name, &stream, shards, &config);
-            let completed = sharded.report.completed();
-            best = best.max(completed as f64 / t0.elapsed().as_secs_f64());
-        }
-        let floor = PERF_FLOOR_RATIO * base_ips;
-        if best < floor {
-            violations.push(format!(
-                "{name}: {best:.0} invocations/s is below its floor {floor:.0} \
-                 ({PERF_FLOOR_RATIO} x the recorded {base_ips:.0})"
+    let config = streaming_config();
+    let mut counts = vec![1, 2, shards];
+    counts.sort_unstable();
+    counts.dedup();
+    for name in BASELINE_NAMES {
+        let mut last = None;
+        for &n in &counts {
+            last = Some(assert_streaming_matches_sequential(
+                &catalog, name, &stream, n, &config,
             ));
         }
-        println!("perf smoke {name}: {best:.0} invocations/s (floor {floor:.0})");
+        let sharded = last.expect("at least one shard count");
+        let completed = sharded.report.completed();
+        let profile = sharded.profile();
+        assert!(completed > 0, "{name} completed nothing");
+        assert!(
+            profile.total_events() >= completed as u64,
+            "{name}: profiled fewer events than completed invocations"
+        );
+        println!(
+            "smoke {name}: {completed} invocations, {:.2} events/invocation; \
+             streaming == sequential at {counts:?} shards",
+            profile.events_per_invocation()
+        );
     }
-    assert!(
-        violations.is_empty(),
-        "perf smoke: {} of {} policies regressed against {path}:\n  {}",
-        violations.len(),
-        baseline.len(),
-        violations.join("\n  ")
-    );
-    println!("perf smoke passed against {path}");
+    println!("stress --smoke passed");
 }
 
-/// The long-stream smoke (`--smoke --hours H`, H > 1): streams an
-/// H-hour trace through RainbowCake on every shard and asserts the
-/// process high-water RSS stays flat — the CI guard for the streaming
-/// pipeline's O(channel-depth) memory claim. Trace length grows with
-/// `H` while the asserted bound does not.
-fn long_stream_smoke(hours: u64, shards: usize) {
+/// `--smoke --hours H`: streams an H-hour trace through RainbowCake on
+/// every shard and asserts the process high-water RSS stays within a
+/// bound that does not scale with `hours` or `rate_scale`.
+fn long_stream_smoke(hours: u64, rate_scale: f64, shards: usize) {
     let catalog = paper_catalog();
     let stream = azure_like_stream(
         catalog.len(),
         &AzureConfig {
             hours,
-            // Millions of invocations in a CI-sized run, so the flat-RSS
-            // assert watches a stream long enough to expose any
-            // length-proportional buffering.
-            rate_scale: 16.0,
+            rate_scale,
             ..AzureConfig::default()
         },
     );
-    let config = SimConfig {
-        streaming_metrics: true,
-        ..SimConfig::default()
-    };
     let before_kb = peak_rss_kb();
     let t0 = WallInstant::now();
-    let sharded = run_policy_sharded(&catalog, "RainbowCake", &stream, shards, &config);
+    let sharded = run_policy_sharded(
+        &catalog,
+        "RainbowCake",
+        &stream,
+        shards,
+        &streaming_config(),
+    );
     let completed = sharded.report.completed();
     let after_kb = peak_rss_kb();
-    let grew_kb = after_kb.saturating_sub(before_kb);
     println!(
-        "long-stream smoke: {completed} invocations over {hours}h in {:.1} s, \
-         RSS {before_kb} -> {after_kb} kB (+{grew_kb} kB)",
+        "long-stream smoke: {completed} invocations over {hours}h at {rate_scale}x on \
+         {shards} shards in {:.1} s, peak RSS {before_kb} -> {after_kb} kB",
         t0.elapsed().as_secs_f64()
     );
     assert!(completed > 0, "long-stream smoke completed nothing");
-    // Flat means bounded by the pipeline, not the trace: per-shard
-    // engines + bounded channels fit comfortably under 64 MB total and
-    // the margin does not scale with `hours`.
+    // Per-shard engines plus bounded channels fit well under 64 MB, and
+    // the margin does not grow with the trace.
     assert!(
         after_kb <= 64 * 1024,
         "long-stream smoke: peak RSS {after_kb} kB exceeds the 64 MB flat-memory bound"
@@ -384,97 +206,31 @@ fn long_stream_smoke(hours: u64, shards: usize) {
     println!("stress --smoke --hours {hours} passed");
 }
 
-fn smoke(profiling: bool, shards: usize) {
+/// `--identity`: the smoke's equality on the full configured trace.
+fn identity(selected: &[&str], hours: u64, rate_scale: f64, shards: usize) {
     let catalog = paper_catalog();
-    let azure = AzureConfig {
-        hours: 1,
-        ..AzureConfig::default()
-    };
-    let stream = azure_like_stream(catalog.len(), &azure);
-    let trace = azure_like_trace(catalog.len(), &azure);
-    let mut router = LocalitySharingLoad::default();
-    let subs = route_trace(&catalog, &trace, DEFAULT_SHARDS, &mut router);
-    let config = SimConfig {
-        streaming_metrics: true,
-        ..SimConfig::default()
-    };
-    for name in BASELINE_NAMES {
-        let sequential: Vec<String> = run_policy(&catalog, name, &subs, &config, 0, None)
-            .iter()
-            .map(|r| r.to_json())
-            .collect();
-        for threads in [2, 4] {
-            let parallel_json: Vec<String> =
-                run_policy(&catalog, name, &subs, &config, threads, None)
-                    .iter()
-                    .map(|r| r.to_json())
-                    .collect();
-            assert_eq!(
-                parallel_json, sequential,
-                "{name}: parallel ({threads} threads) diverged from sequential"
-            );
-        }
-        let mut profile = EngineProfile::default();
-        let reports = run_policy(&catalog, name, &subs, &config, 2, Some(&mut profile));
-        let completed: usize = reports.iter().map(|r| r.invocations()).sum();
-        assert!(completed > 0, "{name} completed nothing");
-        assert!(
-            profile.total_events() >= completed as u64,
-            "{name}: profiled fewer events than completed invocations"
-        );
-        let profiled_json: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-        assert_eq!(
-            profiled_json, sequential,
-            "{name}: profiled dispatch diverged from unprofiled"
-        );
-        // The sharded streaming pipeline must reproduce the sequential
-        // materialized cluster byte-for-byte at every shard count.
-        let mut counts = vec![1, 2, shards];
-        counts.dedup();
-        for &n in &counts {
-            let reference = run_policy_sequential(&catalog, name, &stream, n, &config).to_json();
-            let sharded = run_policy_sharded(&catalog, name, &stream, n, &config)
-                .report
-                .to_json();
-            assert_eq!(
-                sharded, reference,
-                "{name}: {n}-shard streaming cluster diverged from sequential"
-            );
-        }
-        println!(
-            "smoke {name}: {completed} invocations; parallel, profiled and sharded \
-             ({counts:?}) runs all byte-identical; {:.2} events/invocation",
-            profile.events_per_invocation()
-        );
-        if profiling {
-            print_profile(name, &profile);
-        }
-    }
-    perf_smoke(shards);
-    println!("stress --smoke passed");
-}
-
-/// Asserts the sharded streaming pipeline reproduces the sequential
-/// materialized pipeline byte-for-byte on the full configured trace.
-fn identity(catalog: &Catalog, selected: &[&str], stream: &AzureStream, shards: usize) {
-    let config = SimConfig {
-        streaming_metrics: true,
-        ..SimConfig::default()
-    };
+    let stream = azure_like_stream(
+        catalog.len(),
+        &AzureConfig {
+            hours,
+            rate_scale,
+            ..AzureConfig::default()
+        },
+    );
+    let total = stream.total();
+    assert!(
+        total >= 1_000_000,
+        "the identity trace must reach one million invocations (got {total})"
+    );
+    println!("stress: {total} invocations, asserting {shards}-shard identity ...");
+    let config = streaming_config();
     for name in selected {
         let t0 = WallInstant::now();
-        let sharded = run_policy_sharded(catalog, name, stream, shards, &config)
-            .report
-            .to_json();
-        let sequential = run_policy_sequential(catalog, name, stream, shards, &config).to_json();
-        assert_eq!(
-            sharded, sequential,
-            "{name}: {shards}-shard streaming report diverged from sequential"
-        );
+        let sharded = assert_streaming_matches_sequential(&catalog, name, &stream, shards, &config);
         println!(
             "identity {name}: {shards}-shard streaming == sequential \
-             ({} report bytes, {:.1} s)",
-            sharded.len(),
+             ({} invocations, {:.1} s)",
+            sharded.report.completed(),
             t0.elapsed().as_secs_f64()
         );
     }
@@ -543,353 +299,27 @@ fn numeric_flag<T: std::str::FromStr>(flag: &str, default: T) -> T {
     default
 }
 
-/// One policy's full-run measurements, ready for the artifact row.
-struct PolicyRow {
-    name: &'static str,
-    completed: usize,
-    cold: usize,
-    wall_s: f64,
-    /// Completed invocations per wall-clock second (measured).
-    invocations_per_s: f64,
-    /// Completed invocations per critical-path CPU second (derived).
-    calibrated_invocations_per_s: f64,
-    route_s: f64,
-    merge_s: f64,
-    shard_cpu_s: Vec<f64>,
-    rss_delta_kb: u64,
-    /// History Recorder query counters summed across shards (all zero
-    /// for policies without a recorder).
-    history: HistoryStats,
-    /// Total engine events dispatched across shards, counted by the
-    /// shard hot loops without any clock reads.
-    events: u64,
-    /// `events / completed` — the timer-pressure figure of merit the
-    /// lazy ladder schedule exists to shrink.
-    events_per_invocation: f64,
-}
-
-/// The `history` sub-object of a policy row / profile line.
-fn history_json(h: &HistoryStats) -> String {
-    format!(
-        "{{\"queries\":{},\"scope_queries\":{},\"scope_hits\":{},\
-         \"scans\":{},\"terms_computed\":{}}}",
-        h.queries, h.scope_queries, h.scope_hits, h.scans, h.terms_computed,
-    )
-}
-
-impl PolicyRow {
-    fn to_json(&self) -> String {
-        let cpus: Vec<String> = self.shard_cpu_s.iter().map(|&c| fmt_f64(c)).collect();
-        format!(
-            "{{\"name\":{},\"completed\":{},\"cold_starts\":{},\"wall_s\":{},\
-             \"invocations_per_s\":{},\"calibrated_invocations_per_s\":{},\"route_s\":{},\
-             \"merge_s\":{},\"shard_cpu_s\":[{}],\"rss_delta_kb\":{},\"history\":{},\
-             \"events\":{},\"events_per_invocation\":{}}}",
-            escape_str(self.name),
-            self.completed,
-            self.cold,
-            fmt_f64(self.wall_s),
-            fmt_f64(self.invocations_per_s),
-            fmt_f64(self.calibrated_invocations_per_s),
-            fmt_f64(self.route_s),
-            fmt_f64(self.merge_s),
-            cpus.join(","),
-            self.rss_delta_kb,
-            history_json(&self.history),
-            self.events,
-            fmt_f64(self.events_per_invocation),
-        )
-    }
-}
-
-/// Runs one policy through the sharded streaming pipeline and collects
-/// its artifact row. `rss_mark` carries the `VmHWM` high-water mark
-/// between policies so each row's delta is attributable to it.
-fn measure_policy(
-    catalog: &Catalog,
-    name: &'static str,
-    stream: &AzureStream,
-    shards: usize,
-    config: &SimConfig,
-    rss_mark: &mut u64,
-) -> PolicyRow {
-    let t0 = WallInstant::now();
-    let sharded = run_policy_sharded(catalog, name, stream, shards, config);
-    let wall_s = t0.elapsed().as_secs_f64();
-    // The deterministic cross-shard reduction, timed separately so the
-    // artifact shows merge overhead next to engine time.
-    let m0 = WallInstant::now();
-    let merged = sharded.report.merged();
-    let merge_s = m0.elapsed().as_secs_f64() + {
-        let j0 = WallInstant::now();
-        let _ = sharded.report.to_json();
-        j0.elapsed().as_secs_f64()
-    };
-    drop(merged);
-    let rss_now = peak_rss_kb();
-    let rss_delta_kb = rss_now.saturating_sub(*rss_mark);
-    *rss_mark = rss_now;
-    let completed = sharded.report.completed();
-    let cold = sharded.report.cold_starts();
-    // Critical path once every shard thread owns a core: the router or
-    // the slowest shard, whichever dominates.
-    let critical = sharded
-        .shard_cpu_s
-        .iter()
-        .copied()
-        .fold(sharded.route_cpu_s, f64::max);
-    let history = sharded.history();
-    let profile = sharded.profile();
-    PolicyRow {
-        name,
-        completed,
-        cold,
-        wall_s,
-        invocations_per_s: completed as f64 / wall_s,
-        calibrated_invocations_per_s: completed as f64 / critical.max(1e-9),
-        route_s: sharded.route_s,
-        merge_s,
-        shard_cpu_s: sharded.shard_cpu_s,
-        rss_delta_kb,
-        history,
-        events: profile.total_events(),
-        events_per_invocation: profile.events_per_invocation(),
-    }
-}
-
 fn main() {
-    let profiling = std::env::args().any(|a| a == "--profile");
+    let has_flag = |flag: &str| std::env::args().skip(1).any(|a| a == flag);
     let shards: usize = numeric_flag("--shards", DEFAULT_SHARDS);
     assert!(shards > 0, "--shards must be positive");
-    if std::env::args().any(|a| a == "--smoke") {
+    let rate_scale: f64 = numeric_flag("--rate-scale", 16.0);
+    if has_flag("--smoke") {
         let hours: u64 = numeric_flag("--hours", 1);
         if hours > 1 {
-            long_stream_smoke(hours, shards);
+            long_stream_smoke(hours, rate_scale, shards);
         } else {
-            smoke(profiling, shards);
+            smoke(shards);
         }
-        return;
-    }
-    let selected = policy_filter();
-    let filtered = selected.len() != BASELINE_NAMES.len();
-
-    let azure = AzureConfig {
-        hours: numeric_flag("--hours", 48),
-        rate_scale: numeric_flag("--rate-scale", 16.0),
-        ..AzureConfig::default()
-    };
-    let catalog = paper_catalog();
-    println!(
-        "stress: synthesizing {}h trace at {}x rate ...",
-        azure.hours, azure.rate_scale
-    );
-    let stream = azure_like_stream(catalog.len(), &azure);
-    let total = stream.total();
-    assert!(
-        total >= 1_000_000,
-        "stress trace must reach one million invocations (got {total})"
-    );
-    if std::env::args().any(|a| a == "--identity") {
-        println!("stress: {total} invocations, asserting {shards}-shard identity ...");
-        identity(&catalog, &selected, &stream, shards);
-        return;
-    }
-    println!("stress: {total} invocations, streaming across {shards} shards ...");
-    let config = SimConfig {
-        streaming_metrics: true,
-        ..SimConfig::default()
-    };
-
-    if profiling {
-        // The profiled dispatch loop runs through the materialized
-        // pipeline (it is an investigation tool, never the artifact).
-        let trace = Trace::from_arrivals(stream.horizon(), stream.iter().collect());
-        let mut router = LocalitySharingLoad::default();
-        let subs = route_trace(&catalog, &trace, shards, &mut router);
-        let threads = parallel::worker_threads().max(2);
-        for name in selected {
-            let t0 = WallInstant::now();
-            let mut profile = EngineProfile::default();
-            let reports = run_policy(&catalog, name, &subs, &config, threads, Some(&mut profile));
-            let wall = t0.elapsed().as_secs_f64();
-            let completed: usize = reports.iter().map(|r| r.invocations()).sum();
-            println!(
-                "  {name}: {completed} invocations in {wall:.2} s ({:.0} inv/s)",
-                completed as f64 / wall
-            );
-            print_profile(name, &profile);
-        }
-        println!("profiling active: skipping artifact write");
-        return;
-    }
-
-    let mut rows = Vec::new();
-    let mut rss_mark = peak_rss_kb();
-    for name in &selected {
-        let row = measure_policy(&catalog, name, &stream, shards, &config, &mut rss_mark);
-        assert!(
-            row.completed >= 1_000_000,
-            "{name} completed only {} invocations",
-            row.completed
-        );
-        println!(
-            "  {name}: {} invocations in {:.2} s ({:.0} inv/s wall, {:.0} inv/s \
-             calibrated), {} cold starts, {} events ({:.2}/inv), route {:.2} s, \
-             merge {:.3} s, +{} kB peak RSS",
-            row.completed,
-            row.wall_s,
-            row.invocations_per_s,
-            row.calibrated_invocations_per_s,
-            row.cold,
-            row.events,
-            row.events_per_invocation,
-            row.route_s,
-            row.merge_s,
-            row.rss_delta_kb
-        );
-        if row.history.queries > 0 {
-            let h = &row.history;
-            println!(
-                "    history: {} rate queries ({} compound; {} scans fitting {} terms)",
-                h.queries, h.scope_queries, h.scans, h.terms_computed
-            );
-        }
-        rows.push(row);
-    }
-
-    if filtered {
-        // A partial run is for investigation only: writing it out would
-        // break cross-artifact comparability of the BENCH series.
-        println!("policy filter active: skipping artifact write");
-        return;
-    }
-
-    // Shard-scaling evidence: re-run RainbowCake single-sharded so the
-    // artifact carries an aggregate-throughput comparison on identical
-    // input. Wall events/s only scales on a machine with enough cores;
-    // the calibrated figures compare critical-path compute directly.
-    let scaling = if shards > 1 {
-        let mut mark = peak_rss_kb();
-        let one = measure_policy(&catalog, "RainbowCake", &stream, 1, &config, &mut mark);
-        let many = rows
-            .iter()
-            .find(|r| r.name == "RainbowCake")
-            .expect("full suite includes RainbowCake");
-        println!(
-            "  scaling RainbowCake: 1 shard {:.0} inv/s calibrated, {shards} shards \
-             {:.0} inv/s calibrated ({:.2}x)",
-            one.calibrated_invocations_per_s,
-            many.calibrated_invocations_per_s,
-            many.calibrated_invocations_per_s / one.calibrated_invocations_per_s
-        );
-        // Streaming-scale evidence: push the same pipeline past 10^8
-        // invocations (RainbowCake only) and record that peak RSS stays
-        // flat — memory is bounded by the router's channel depth, never
-        // by the trace length.
-        let mega_factor = (1e8 / total as f64).ceil().max(1.0);
-        let mega_azure = AzureConfig {
-            rate_scale: azure.rate_scale * mega_factor,
-            ..azure
-        };
-        println!(
-            "  scaling: synthesizing {}h trace at {}x rate for the >=1e8 streaming point ...",
-            mega_azure.hours, mega_azure.rate_scale
-        );
-        let mega_stream = azure_like_stream(catalog.len(), &mega_azure);
-        let mega_total = mega_stream.total();
-        assert!(
-            mega_total >= 100_000_000,
-            "streaming point must cover 1e8 invocations (got {mega_total})"
-        );
-        let mut mega_mark = peak_rss_kb();
-        let mega = measure_policy(
-            &catalog,
-            "RainbowCake",
-            &mega_stream,
+    } else if has_flag("--identity") {
+        identity(
+            &policy_filter(),
+            numeric_flag("--hours", 48),
+            rate_scale,
             shards,
-            &config,
-            &mut mega_mark,
         );
-        let mega_rss = peak_rss_kb();
-        println!(
-            "  scaling RainbowCake streaming: {} invocations at {:.0} inv/s wall \
-             ({:.0} calibrated), peak RSS {} MB",
-            mega.completed,
-            mega.invocations_per_s,
-            mega.calibrated_invocations_per_s,
-            mega_rss / 1024
-        );
-        assert!(
-            mega_rss <= 64 * 1024,
-            "streaming 1e8-invocation run must hold peak RSS <= 64 MB (got {} kB)",
-            mega_rss
-        );
-        format!(
-            ",\"scaling\":{{\"policy\":\"RainbowCake\",\"points\":[{},{}],\
-             \"streaming\":{{\"shards\":{shards},\"invocations\":{},\
-             \"rate_scale\":{},\"invocations_per_s\":{},\"calibrated_invocations_per_s\":{},\
-             \"peak_rss_kb\":{}}}}}",
-            format_args!(
-                "{{\"shards\":1,\"invocations_per_s\":{},\"calibrated_invocations_per_s\":{}}}",
-                fmt_f64(one.invocations_per_s),
-                fmt_f64(one.calibrated_invocations_per_s)
-            ),
-            format_args!(
-                "{{\"shards\":{shards},\"invocations_per_s\":{},\
-                 \"calibrated_invocations_per_s\":{}}}",
-                fmt_f64(many.invocations_per_s),
-                fmt_f64(many.calibrated_invocations_per_s)
-            ),
-            mega.completed,
-            fmt_f64(mega_azure.rate_scale),
-            fmt_f64(mega.invocations_per_s),
-            fmt_f64(mega.calibrated_invocations_per_s),
-            mega_rss,
-        )
     } else {
-        String::new()
-    };
-
-    let row_json: Vec<String> = rows.iter().map(|r| r.to_json()).collect();
-    let json = format!(
-        "{{\"schema\":\"rainbowcake-stress/6\",\"shards\":{shards},\
-         \"hours\":{},\"rate_scale\":{},\
-         \"invocations\":{total},\"router\":\"Locality+Sharing+Load\",\
-         \"peak_rss_kb\":{}{scaling},\"policies\":[{}]}}\n",
-        azure.hours,
-        fmt_f64(azure.rate_scale),
-        peak_rss_kb(),
-        row_json.join(","),
-    );
-
-    let dir = std::env::var("PERF_BASELINE_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = (1..10_000)
-        .map(|i| format!("{dir}/BENCH_{i:04}.json"))
-        .find(|p| !std::path::Path::new(p).exists())
-        .expect("fewer than 10000 baselines");
-    std::fs::write(&path, json).expect("write stress artifact");
-    println!("wrote {path} (peak RSS {} MB)", peak_rss_kb() / 1024);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn baseline_rows_read_the_key_of_their_schema() {
-        let v5 = "{\"schema\":\"rainbowcake-stress/5\",\"policies\":[{\"name\":\"OpenWhisk\",\
-                  \"events_per_s\":500.5,\"calibrated_events_per_s\":900.0}]}";
-        assert_eq!(
-            artifact_invocations_per_s(v5),
-            vec![("OpenWhisk".to_string(), 500.5)]
-        );
-        let v6 = "{\"schema\":\"rainbowcake-stress/6\",\"policies\":[{\"name\":\"SEUSS\",\
-                  \"invocations_per_s\":42,\"calibrated_invocations_per_s\":99}]}";
-        assert_eq!(
-            artifact_invocations_per_s(v6),
-            vec![("SEUSS".to_string(), 42.0)]
-        );
-        let unknown = v6.replace("stress/6", "stress/7");
-        assert!(artifact_invocations_per_s(&unknown).is_empty());
+        eprint!("{USAGE}");
+        std::process::exit(2);
     }
 }

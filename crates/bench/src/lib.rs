@@ -7,8 +7,8 @@
 //! throughput.
 //!
 //! Independent experiment runs fan out across threads through
-//! [`parallel`]; `bin/stress` writes the machine-readable
-//! `BENCH_*.json` performance artifact.
+//! [`parallel`]; `bin/stress` checks the streaming cluster's byte
+//! identity and flat memory at scale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

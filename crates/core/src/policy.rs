@@ -227,12 +227,6 @@ pub enum TimeoutDecision {
         /// Keep-alive window at the next layer down.
         ttl: Micros,
     },
-    /// Peel the top layer off and hand the platform the *entire*
-    /// remaining downgrade schedule at once: rung 0 of the ladder is the
-    /// layer below the current one. The platform applies the downgrade,
-    /// then drives the rest of the idle period from the ladder with a
-    /// single terminal timer.
-    Ladder(TtlLadder),
     /// Keep the container at `User` but install the packages of
     /// `extra_functions` so they can reuse it warm (container sharing à
     /// la Pagurus); keep alive for `ttl`. The platform inflates the

@@ -3,8 +3,8 @@
 //! The workspace builds fully offline against stand-in dependencies
 //! (see `compat/README.md`), so there is no `serde_json`. This module
 //! provides a small deterministic encoder: identical reports always
-//! produce identical bytes, which is what `tests/parallel_identity.rs`
-//! and the `BENCH_*.json` perf artifact rely on.
+//! produce identical bytes, which is what the byte-identity tests and
+//! the golden report digests rely on.
 
 use crate::summary::RunReport;
 

@@ -19,14 +19,14 @@
 //!
 //! Execution comes in two shapes with **byte-identical** results:
 //!
-//! * [`run_cluster`] — the sequential reference: materialize each
-//!   worker's sub-trace, run the workers one after another.
-//! * [`run_cluster_streaming`] — the sharded pipeline: the caller
-//!   streams arrivals, the router feeds bounded per-shard queues, and
-//!   each worker engine runs on its own OS thread. Peak memory is
-//!   bounded by the channel depth instead of the trace length, and the
-//!   per-worker reports merge in worker-index order, so the result is
-//!   exactly the sequential report.
+//! * [`run_cluster_streaming`] — the pipeline every experiment runs:
+//!   the caller streams arrivals, the router feeds bounded per-shard
+//!   queues, and each worker engine runs on its own OS thread. Peak
+//!   memory is bounded by the channel depth instead of the trace length,
+//!   and the per-worker reports merge in worker-index order.
+//! * [`run_cluster`] — the sequential reference the streaming pipeline
+//!   is checked against: materialize each worker's sub-trace, run the
+//!   workers one after another on the calling thread.
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -416,10 +416,8 @@ pub struct ShardedRun {
     /// ([`Policy::history_stats`]); zeroed for policies without a
     /// recorder.
     pub shard_history: Vec<HistoryStats>,
-    /// Per-shard counts-only engine profiles
-    /// ([`EngineProfile::counting`]): event counts per kind and
-    /// completed invocations, with handler timing left zero so the shard
-    /// hot loops stay free of clock reads.
+    /// Per-shard engine profiles: event counts per kind, completed
+    /// invocations and event-queue work.
     pub shard_profiles: Vec<EngineProfile>,
 }
 
@@ -433,10 +431,10 @@ impl ShardedRun {
         total
     }
 
-    /// Counts-only engine profiles merged across shards — the source of
-    /// the pipeline's events-per-invocation figure.
+    /// Engine profiles merged across shards — the source of the
+    /// pipeline's events-per-invocation figure.
     pub fn profile(&self) -> EngineProfile {
-        let mut total = EngineProfile::counting();
+        let mut total = EngineProfile::default();
         for p in &self.shard_profiles {
             total.merge(p);
         }
@@ -445,10 +443,9 @@ impl ShardedRun {
 }
 
 /// Runs a cluster as a streaming sharded pipeline: the calling thread
-/// routes arrivals online (exactly like [`route_trace`]) and feeds each
+/// routes arrivals online (exactly like [`run_cluster`]) and feeds each
 /// worker's subsequence over a bounded channel to a dedicated OS thread
-/// running that worker's engine via [`run`] with a counts-only
-/// [`EngineProfile`] (per-kind event counts, no clock reads).
+/// running that worker's engine via [`run`] with an [`EngineProfile`].
 ///
 /// Compared to [`run_cluster`] this (a) executes the workers
 /// concurrently and (b) never materializes per-worker arrival vectors —
@@ -493,7 +490,7 @@ pub fn run_cluster_streaming(
     let mut shard_busy_s = vec![0.0f64; workers];
     let mut shard_cpu_s = vec![0.0f64; workers];
     let mut shard_history = vec![HistoryStats::default(); workers];
-    let mut shard_profiles = vec![EngineProfile::counting(); workers];
+    let mut shard_profiles = vec![EngineProfile::default(); workers];
     let mut route_s = 0.0f64;
     let mut route_cpu_s = 0.0f64;
     thread::scope(|s| {
@@ -506,7 +503,7 @@ pub fn run_cluster_streaming(
                 let mut policy = make_policy();
                 let started = std::time::Instant::now();
                 let cpu_started = thread_cpu_s();
-                let mut profile = EngineProfile::counting();
+                let mut profile = EngineProfile::default();
                 let report = run(
                     catalog,
                     policy.as_mut(),
@@ -575,21 +572,25 @@ pub fn run_cluster_streaming(
     }
 }
 
-/// Routes `trace` across `workers` nodes with `router` and returns one
-/// sub-trace per worker (same horizon as the input). Routing is
-/// policy-independent, so the result can be executed under any number
-/// of policies without re-routing — the stress harness relies on this.
+/// The sequential reference for [`run_cluster_streaming`]: routes
+/// `trace` across `workers` nodes with `router`, then executes each
+/// worker's sub-trace with a fresh policy from `make_policy`, one worker
+/// after another on the calling thread. Memory grows with the trace.
+/// The cluster identity tests and `stress --smoke` / `--identity` check
+/// that the streaming pipeline reproduces its report byte for byte.
 ///
 /// # Panics
 ///
 /// Panics if `workers` is zero or the router returns an out-of-range
 /// worker.
-pub fn route_trace(
+pub fn run_cluster(
     catalog: &Catalog,
+    make_policy: &mut dyn FnMut() -> Box<dyn Policy>,
     trace: &Trace,
     workers: usize,
+    per_worker: &SimConfig,
     router: &mut dyn Router,
-) -> Vec<Trace> {
+) -> ClusterReport {
     assert!(workers > 0, "cluster needs at least one worker");
     let mut views: Vec<WorkerView> = (0..workers)
         .map(|_| WorkerView::new(catalog.len()))
@@ -602,36 +603,16 @@ pub fn route_trace(
         views[w].record(a.function, language, a.time);
         sub[w].push(*a);
     }
-    sub.into_iter()
-        .map(|arrivals| Trace::from_arrivals(trace.horizon(), arrivals))
-        .collect()
-}
-
-/// Routes `trace` across `workers` nodes with `router`, then executes
-/// each worker's sub-trace with a fresh policy from `make_policy`.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn run_cluster(
-    catalog: &Catalog,
-    make_policy: &mut dyn FnMut() -> Box<dyn Policy>,
-    trace: &Trace,
-    workers: usize,
-    per_worker: &SimConfig,
-    router: &mut dyn Router,
-) -> ClusterReport {
-    let sub = route_trace(catalog, trace, workers, router);
-    let assigned: Vec<usize> = sub.iter().map(|s| s.len()).collect();
+    let assigned: Vec<usize> = sub.iter().map(Vec::len).collect();
     let workers_reports = sub
         .into_iter()
-        .map(|sub_trace| {
+        .map(|arrivals| {
             let mut policy = make_policy();
             run(
                 catalog,
                 policy.as_mut(),
-                sub_trace.iter().copied(),
-                sub_trace.horizon(),
+                arrivals,
+                trace.horizon(),
                 per_worker,
                 None,
             )

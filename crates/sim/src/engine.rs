@@ -74,11 +74,9 @@ enum Placement {
 /// `trace.iter().copied(), trace.horizon()`.
 ///
 /// With `profile`, the run also counts dispatched events per kind into
-/// it and, unless it was built by [`EngineProfile::counting`], times
-/// their handlers (one clock read per grouped run of same-kind events).
-/// The run's completed invocations, its event-queue work counters and
-/// the policy's history counters are added to the profile too.
-/// Profiling never changes the report.
+/// it, and adds its completed invocations, its event-queue work counters
+/// and the policy's history counters. Profiling reads no clock and never
+/// changes the report.
 ///
 /// The run is fully deterministic given the catalog, arrivals, config,
 /// and the policy's own state.
@@ -130,15 +128,13 @@ fn kind_rank(kind: &EventKind) -> usize {
     }
 }
 
-/// Per-event-kind dispatch statistics from a profiled [`run`]: how many
-/// events of each kind were handled and how much wall-clock time their
-/// handlers took.
+/// Exact work counts from a profiled [`run`]: events handled per kind,
+/// completed invocations, and the event queue's and history recorder's
+/// counters. Every field is a host-independent count.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineProfile {
     /// Events handled, indexed like [`EngineProfile::KIND_NAMES`].
     pub counts: [u64; 6],
-    /// Total handler wall-clock nanoseconds, same indexing.
-    pub nanos: [u64; 6],
     /// Invocations the profiled runs completed (for
     /// [`Self::events_per_invocation`]).
     pub invocations: u64,
@@ -147,9 +143,6 @@ pub struct EngineProfile {
     pub history: HistoryStats,
     /// Event-queue work counters (pushes, cascade moves, stale drops).
     pub queue: QueueStats,
-    /// When set, the dispatch loop bumps `counts` but never reads the
-    /// clock, leaving `nanos` zero.
-    pub counting: bool,
 }
 
 impl EngineProfile {
@@ -163,20 +156,10 @@ impl EngineProfile {
         "LadderWake",
     ];
 
-    /// A counts-only profile: event counts and invocations are
-    /// recorded, handler timing is skipped entirely.
-    pub fn counting() -> Self {
-        Self {
-            counting: true,
-            ..Self::default()
-        }
-    }
-
     /// Merges another profile into this one (for multi-worker runs).
     pub fn merge(&mut self, other: &EngineProfile) {
-        for i in 0..6 {
-            self.counts[i] += other.counts[i];
-            self.nanos[i] += other.nanos[i];
+        for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
+            *mine += theirs;
         }
         self.invocations += other.invocations;
         self.history.merge(&other.history);
@@ -230,10 +213,10 @@ struct Engine<'a> {
     exec_params: Vec<Option<(f64, f64)>>,
     now: Instant,
     // Scratch buffers reused across arrivals so the hot path allocates
-    // nothing in steady state. The arrival path reads idle candidates
-    // straight out of the pool's generation-tracked view cache; the
-    // view buffer is only needed for the rare eviction-with-exclusion
-    // case, so the two users never nest.
+    // nothing in steady state. The view buffer serves the
+    // `ReuseScope::All` scan in `try_place`, which finishes before any
+    // placement runs, and eviction in `ensure_memory`, which a placement
+    // calls, so its two users never nest.
     scratch_views: Vec<ContainerView>,
     scratch_options: Vec<(Micros, u8, Placement)>,
     /// Runs the eager per-rung timer chain instead of the lazy ladder
@@ -322,8 +305,7 @@ impl<'a> Engine<'a> {
     /// Ladder boundaries strictly before the tick are settled first, so
     /// every handler observes the pool exactly as the eager per-rung
     /// chain would have left it. With `profile` set, each grouped run is
-    /// counted (and, unless counting-only, timed) into the per-kind
-    /// breakdown.
+    /// counted into the per-kind breakdown.
     fn dispatch_batch(&mut self, batch: &[Event], mut profile: Option<&mut EngineProfile>) {
         self.settle_due(self.now, false);
         let mut start = 0;
@@ -333,9 +315,6 @@ impl<'a> Engine<'a> {
             while end < batch.len() && kind_rank(&batch[end].kind) == rank {
                 end += 1;
             }
-            let timer = profile
-                .as_deref_mut()
-                .map(|p| ((!p.counting).then(std::time::Instant::now), p));
             match batch[start].kind {
                 EventKind::Arrival { .. } => {
                     for event in &batch[start..end] {
@@ -383,11 +362,8 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            if let Some((t0, p)) = timer {
+            if let Some(p) = profile.as_deref_mut() {
                 p.counts[rank] += (end - start) as u64;
-                if let Some(t0) = t0 {
-                    p.nanos[rank] += t0.elapsed().as_nanos() as u64;
-                }
             }
             start = end;
         }
@@ -660,14 +636,21 @@ impl<'a> Engine<'a> {
             let ctx = self.ctx();
             let mut best: [Option<(ContainerId, Instant)>; 5] = [None; 5];
             {
-                let Engine { pool, policy, .. } = &mut *self;
+                let Engine {
+                    pool,
+                    policy,
+                    scratch_views,
+                    ..
+                } = &mut *self;
                 match policy.reuse_scope() {
                     ReuseScope::All => {
-                        for v in pool.cached_idle_views() {
+                        pool.idle_views_into(None, scratch_views);
+                        for v in scratch_views.iter() {
                             if let Some(class) = policy.reuse_class(&ctx, f, v) {
                                 consider(&mut best, class, v.id, v.idle_since);
                             }
                         }
+                        scratch_views.clear();
                     }
                     ReuseScope::OwnedOrPacked => {
                         for id in pool.idle_user_ids(f) {
@@ -964,17 +947,11 @@ impl<'a> Engine<'a> {
         // (saturating) difference is the exact shortfall.
         let need = (self.pool.used() + extra) - self.pool.capacity();
         let ctx = self.ctx();
-        let victims = if exclude.is_some() {
-            let mut candidates = std::mem::take(&mut self.scratch_views);
-            self.pool.idle_views_into(exclude, &mut candidates);
-            let victims = self.policy.select_victims(&ctx, &candidates, need);
-            candidates.clear();
-            self.scratch_views = candidates;
-            victims
-        } else {
-            let Engine { pool, policy, .. } = &mut *self;
-            policy.select_victims(&ctx, pool.cached_idle_views(), need)
-        };
+        let mut candidates = std::mem::take(&mut self.scratch_views);
+        self.pool.idle_views_into(exclude, &mut candidates);
+        let victims = self.policy.select_victims(&ctx, &candidates, need);
+        candidates.clear();
+        self.scratch_views = candidates;
         // No queue drain here: the freed memory is claimed by the
         // caller, and draining would recurse through try_place.
         for victim in victims {
@@ -1377,24 +1354,6 @@ impl<'a> Engine<'a> {
                 }
                 self.pool.resize(id, new_mem);
                 self.schedule_timeout(id, ttl);
-                self.drain_pending();
-            }
-            TimeoutDecision::Ladder(ladder) => {
-                // Rung 0 of the returned ladder names the layer below
-                // the current one: apply that downgrade eagerly (classic
-                // epoch-bumping semantics), then drive the rest of the
-                // idle period from the ladder.
-                self.record_waste(view.memory, view.idle_since, self.now, IdleOutcome::Miss);
-                let new_mem = self.downgraded_footprint(&view);
-                {
-                    let mut c = self.pool.get_mut(id).expect("container exists");
-                    c.apply(LifecycleEvent::Downgrade)
-                        .expect("policy downgrades only above Bare");
-                    c.idle_since = self.now;
-                    c.packed.clear();
-                }
-                self.pool.resize(id, new_mem);
-                self.install_ladder(id, ladder);
                 self.drain_pending();
             }
             TimeoutDecision::Repack {
@@ -1994,66 +1953,6 @@ mod tests {
         assert!(lazy.events_per_invocation() < eager.events_per_invocation());
     }
 
-    #[test]
-    fn ladder_timeout_decision_hands_off_to_lazy_schedule() {
-        // A policy that keeps rung 0 classic and returns the remaining
-        // schedule as TimeoutDecision::Ladder: behaviour must match the
-        // fully classic chain on a queue-free trace.
-        struct HandoffPolicy {
-            inner: TestPolicy,
-        }
-        impl Policy for HandoffPolicy {
-            fn name(&self) -> &'static str {
-                "Handoff"
-            }
-            fn reuse_class(
-                &self,
-                ctx: &PolicyCtx<'_>,
-                f: FunctionId,
-                c: &ContainerView,
-            ) -> Option<ReuseClass> {
-                self.inner.reuse_class(ctx, f, c)
-            }
-            fn on_idle(&mut self, ctx: &PolicyCtx<'_>, c: &ContainerView) -> Micros {
-                self.inner.on_idle(ctx, c)
-            }
-            fn on_timeout(&mut self, _: &PolicyCtx<'_>, c: &ContainerView) -> TimeoutDecision {
-                // Hand the platform the rest of the schedule: one rung
-                // per remaining layer below the current one.
-                let rungs = match c.layer {
-                    Layer::User => 2,
-                    Layer::Lang => 1,
-                    Layer::Bare => return TimeoutDecision::Terminate,
-                };
-                TimeoutDecision::Ladder(TtlLadder {
-                    ttls: [self.inner.ttl; 3],
-                    rungs,
-                })
-            }
-        }
-        let cat = catalog();
-        let trace = trace_of(&[(0, 0), (30, 1), (200, 0)], 400);
-        let cfg = config();
-        let mut classic = TestPolicy {
-            ttl: Micros::from_secs(20),
-            share_layers: true,
-            downgrade: true,
-            prewarm_delay: None,
-        };
-        let reference = run_trace(&cat, &mut classic, &trace, &cfg);
-        let mut handoff = HandoffPolicy {
-            inner: TestPolicy {
-                ttl: Micros::from_secs(20),
-                share_layers: true,
-                downgrade: true,
-                prewarm_delay: None,
-            },
-        };
-        let got = run_trace(&cat, &mut handoff, &trace, &cfg);
-        assert_eq!(got.records, reference.records);
-        assert_eq!(got.waste, reference.waste);
-    }
-
     /// Runs `p` on arrivals at the given microsecond timestamps (all of
     /// function 0), no clipping.
     fn run_at_micros(cat: &Catalog, p: &mut dyn Policy, micros: &[u64]) -> RunReport {
@@ -2265,7 +2164,7 @@ mod tests {
             },
         );
         let mut policy = RainbowCake::with_defaults(&catalog).unwrap();
-        let mut profile = EngineProfile::counting();
+        let mut profile = EngineProfile::default();
         let report = run(
             &catalog,
             &mut policy,

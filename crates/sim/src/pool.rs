@@ -333,10 +333,6 @@ struct PoolIndex {
     idle_packed_by_fn: FnTable<IdSet>,
     /// Containers currently in the `Initializing` state.
     initializing: usize,
-    /// Bumped whenever the idle set — or any view-visible field of an
-    /// idle container — changes. The pool's idle-view cache is valid
-    /// exactly while its recorded generation matches this counter.
-    idle_gen: u64,
 }
 
 impl Default for PoolIndex {
@@ -349,7 +345,6 @@ impl Default for PoolIndex {
             attachable_heads: Vec::new(),
             idle_packed_by_fn: FnTable::default(),
             initializing: 0,
-            idle_gen: 0,
         }
     }
 }
@@ -417,9 +412,6 @@ impl PoolIndex {
     }
 
     fn link(&mut self, id: ContainerId, key: &IndexKey, packed: &[FunctionId]) {
-        if key.idle {
-            self.idle_gen += 1;
-        }
         if let Some(list) = key.list {
             self.push_front(list, id.slot() as u32);
         }
@@ -432,9 +424,6 @@ impl PoolIndex {
     }
 
     fn unlink(&mut self, id: ContainerId, key: &IndexKey, packed: &[FunctionId]) {
-        if key.idle {
-            self.idle_gen += 1;
-        }
         if let Some(list) = key.list {
             self.remove_from(list, id.slot() as u32);
         }
@@ -505,11 +494,6 @@ impl Drop for ContainerMut<'_> {
             self.index
                 .unlink(self.container.id, &self.old_key, &self.old_packed);
             self.index.link(self.container.id, &new_key, new_packed);
-        } else if new_key.idle {
-            // Index placement unchanged, but the mutation may have
-            // touched a view-visible field the indices don't cover —
-            // invalidate the view cache.
-            self.index.idle_gen += 1;
         }
         // Unconditionally re-mirror the hot arrays: any field the guard
         // exposed may have changed.
@@ -540,11 +524,6 @@ pub struct Pool {
     /// Lowest never-used slot.
     next_slot: u32,
     index: PoolIndex,
-    /// Cached idle views (id order), valid while `view_cache_gen`
-    /// matches `index.idle_gen`.
-    view_cache: Vec<ContainerView>,
-    /// The idle generation `view_cache` was built at.
-    view_cache_gen: u64,
 }
 
 impl Pool {
@@ -560,8 +539,6 @@ impl Pool {
             next_seq: 0,
             next_slot: 0,
             index: PoolIndex::default(),
-            view_cache: Vec::new(),
-            view_cache_gen: 0,
         }
     }
 
@@ -697,8 +674,6 @@ impl Pool {
             .filter(|c| c.id == id)
             .expect("unknown container");
         if c.memory == new_memory {
-            // Most reuses keep the footprint: skip the accounting and
-            // the idle-view invalidation a no-op resize would cause.
             return;
         }
         let new_used = self.used - c.memory + new_memory;
@@ -709,11 +684,6 @@ impl Pool {
         self.used = new_used;
         c.memory = new_memory;
         self.hot.mem_mb[id.slot()] = new_memory.as_mb();
-        if c.is_idle() {
-            // Memory is view-visible, so a resize of an idle container
-            // invalidates the cached views.
-            self.index.idle_gen += 1;
-        }
     }
 
     /// Whether `extra` more memory fits right now.
@@ -824,7 +794,7 @@ impl Pool {
 
     /// Views of all idle containers, optionally excluding one id, in id
     /// order.
-    pub fn idle_views(&mut self, exclude: Option<ContainerId>) -> Vec<ContainerView> {
+    pub fn idle_views(&self, exclude: Option<ContainerId>) -> Vec<ContainerView> {
         let mut out = Vec::new();
         self.idle_views_into(exclude, &mut out);
         out
@@ -863,46 +833,17 @@ impl Pool {
         }
     }
 
-    /// Rebuilds the idle-view cache iff the idle generation moved since
-    /// the last build. The rebuild walks only the contiguous hot arrays.
-    fn refresh_view_cache(&mut self) {
-        if self.view_cache_gen == self.index.idle_gen {
-            return;
-        }
-        let mut cache = std::mem::take(&mut self.view_cache);
-        cache.clear();
-        cache.extend(self.idle_ids().map(|id| self.view_from_hot(id)));
-        self.view_cache = cache;
-        self.view_cache_gen = self.index.idle_gen;
-    }
-
-    /// Views of all idle containers in id order, served from the
-    /// generation-tracked cache: a no-op when nothing idle changed since
-    /// the previous call, a single rebuild otherwise.
-    pub fn cached_idle_views(&mut self) -> &[ContainerView] {
-        self.refresh_view_cache();
-        &self.view_cache
-    }
-
     /// Fills `out` with views of all idle containers, optionally
     /// excluding one id, in id order. Clears `out` first; the buffer's
-    /// capacity is reused across calls. Copies from the
-    /// generation-tracked cache, so an unchanged idle set costs a
-    /// memcpy-style clone instead of an index walk.
-    pub fn idle_views_into(&mut self, exclude: Option<ContainerId>, out: &mut Vec<ContainerView>) {
-        self.refresh_view_cache();
+    /// capacity is reused across calls. The views are built from the
+    /// hot arrays.
+    pub fn idle_views_into(&self, exclude: Option<ContainerId>, out: &mut Vec<ContainerView>) {
         out.clear();
-        match exclude {
-            None => out.extend_from_slice(&self.view_cache),
-            Some(x) => out.extend(self.view_cache.iter().filter(|c| c.id != x).cloned()),
-        }
-    }
-
-    /// The current idle generation (bumped on every change to the idle
-    /// set or to a view-visible field of an idle container). Exposed for
-    /// cache-coherence tests.
-    pub fn idle_generation(&self) -> u64 {
-        self.index.idle_gen
+        out.extend(
+            self.idle_ids()
+                .filter(|&id| Some(id) != exclude)
+                .map(|id| self.view_from_hot(id)),
+        );
     }
 
     /// Whether an idle `User` container owned by `f` exists (Alg. 1's
@@ -1340,35 +1281,29 @@ mod tests {
     }
 
     #[test]
-    fn view_cache_tracks_idle_generation() {
+    fn idle_views_into_shows_changes_immediately() {
         let mut p = Pool::new(MemMb::new(1_000));
-        let g0 = p.idle_generation();
-        assert!(p.cached_idle_views().is_empty());
+        let mut buf = Vec::new();
+        p.idle_views_into(None, &mut buf);
+        assert!(buf.is_empty());
         p.insert(idle_container(0, 100));
-        assert!(p.idle_generation() > g0);
-        assert_eq!(p.cached_idle_views().len(), 1);
-        let g1 = p.idle_generation();
-        // Pure reads neither invalidate nor rebuild.
-        assert_eq!(p.cached_idle_views().len(), 1);
-        assert_eq!(p.idle_generation(), g1);
-        // Resizing an idle container is view-visible.
+        p.idle_views_into(None, &mut buf);
+        assert_eq!(buf.len(), 1);
+        // A resize of an idle container is visible at once.
         p.resize(ContainerId::new(0), MemMb::new(50));
-        assert!(p.idle_generation() > g1);
-        assert_eq!(p.cached_idle_views()[0].memory, MemMb::new(50));
-        // A guard mutation that leaves the index key unchanged (packing
-        // an extra function) must still invalidate the cached views.
-        let g2 = p.idle_generation();
+        p.idle_views_into(None, &mut buf);
+        assert_eq!(buf[0].memory, MemMb::new(50));
+        // So is a guard mutation that leaves the index key unchanged
+        // (packing an extra function).
         {
             let mut c = p.get_mut(ContainerId::new(0)).unwrap();
             c.packed.push(FunctionId::new(7));
         }
-        assert!(p.idle_generation() > g2);
-        assert_eq!(p.cached_idle_views()[0].packed, vec![FunctionId::new(7)]);
-        // Removal invalidates too.
-        let g3 = p.idle_generation();
+        p.idle_views_into(None, &mut buf);
+        assert_eq!(buf[0].packed, vec![FunctionId::new(7)]);
         p.remove(ContainerId::new(0));
-        assert!(p.idle_generation() > g3);
-        assert!(p.cached_idle_views().is_empty());
+        p.idle_views_into(None, &mut buf);
+        assert!(buf.is_empty());
     }
 
     #[test]
