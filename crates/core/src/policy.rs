@@ -167,9 +167,10 @@ impl ArrivalResponse {
 /// how many entries are meaningful (1..=3). After the last rung's window
 /// elapses the container terminates.
 ///
-/// A ladder lets the platform schedule **one** terminal timer per idle
-/// period instead of one per layer, deriving every intermediate
-/// downgrade instant (`idle_since + ttls[0] + … + ttls[i]`) on demand.
+/// A ladder lets the platform arm **no** timer for the idle period
+/// instead of one per layer: it derives every downgrade instant
+/// (`idle_since + ttls[0] + … + ttls[i]`) on demand and settles elapsed
+/// rungs lazily, the last rung's termination included.
 /// A `Micros::MAX` rung never expires: the container parks at that rung
 /// until reused or evicted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,12 +208,6 @@ impl TtlLadder {
             .as_micros()
             .checked_add(total)
             .map(Instant::from_micros)
-    }
-
-    /// The instant the final rung expires (the container's death), or
-    /// `None` if some rung never expires.
-    pub fn death(&self, idle_since: Instant) -> Option<Instant> {
-        self.boundary(idle_since, self.rungs.saturating_sub(1))
     }
 }
 
@@ -308,8 +303,8 @@ pub trait Policy {
     /// keep-alive schedule the moment it goes idle: rung 0 of the
     /// returned ladder is the current layer's TTL, each further rung the
     /// next layer down. When this returns `Some`, the platform drives
-    /// the whole idle period from the ladder — one terminal timer
-    /// instead of a per-layer chain — and **does not call**
+    /// the whole idle period from the ladder — settled lazily, with no
+    /// per-layer timer chain — and **does not call**
     /// [`Policy::on_idle`] or [`Policy::on_timeout`] for it, so the
     /// implementation must perform any bookkeeping those hooks would
     /// have done (e.g. history observations) itself.
@@ -650,20 +645,19 @@ mod tests {
         assert_eq!(ladder.boundary(t0, 0), Some(t0 + Micros::from_mins(5)));
         assert_eq!(ladder.boundary(t0, 1), Some(t0 + Micros::from_mins(8)));
         assert_eq!(ladder.boundary(t0, 2), Some(t0 + Micros::from_mins(10)));
-        assert_eq!(ladder.death(t0), Some(t0 + Micros::from_mins(10)));
-        // A rung that never expires makes that boundary (and the death)
-        // unreachable, but earlier boundaries stay exact.
+        // A rung that never expires makes that boundary (and every later
+        // one) unreachable, but earlier boundaries stay exact.
         let parked = TtlLadder {
             ttls: [Micros::from_mins(5), Micros::MAX, Micros::MAX],
             rungs: 3,
         };
         assert_eq!(parked.boundary(t0, 0), Some(t0 + Micros::from_mins(5)));
         assert_eq!(parked.boundary(t0, 1), None);
-        assert_eq!(parked.death(t0), None);
+        assert_eq!(parked.boundary(t0, 2), None);
         // The single-rung constructor is the classic keep-alive shape.
         let single = TtlLadder::single(Micros::from_mins(10));
         assert_eq!(single.rungs, 1);
-        assert_eq!(single.death(t0), Some(t0 + Micros::from_mins(10)));
+        assert_eq!(single.boundary(t0, 0), Some(t0 + Micros::from_mins(10)));
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub fn run(
 
 /// [`run`] on the eager per-rung ladder timer chain: every rung boundary
 /// gets its own `IdleTimeout`, re-armed as each fires. It is the oracle
-/// the lazy terminal-timer schedule must match byte for byte.
+/// the lazy, timer-free ladder schedule must match byte for byte.
 #[cfg(test)]
 pub(crate) fn run_eager(
     catalog: &Catalog,
@@ -141,7 +141,8 @@ pub struct EngineProfile {
     /// History-recorder query counters, if the policy keeps a recorder
     /// ([`Policy::history_stats`]); zeroed otherwise.
     pub history: HistoryStats,
-    /// Event-queue work counters (pushes, cascade moves, stale drops).
+    /// Event-queue work counters (pushes, cascade moves, deferred
+    /// re-arms).
     pub queue: QueueStats,
 }
 
@@ -285,7 +286,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Whether ladder boundaries get per-rung timer events (the
-    /// test-only eager oracle) instead of one terminal timer.
+    /// test-only eager oracle) instead of none.
     #[cfg(test)]
     fn eager_chain(&self) -> bool {
         self.eager_chain
@@ -825,10 +826,11 @@ impl<'a> Engine<'a> {
         match class {
             ReuseClass::WarmUser | ReuseClass::SnapshotUser | ReuseClass::SharedPacked => {
                 self.pool.resize(id, target_mem);
-                let epoch = {
+                {
                     let mut c = self.pool.get_mut(id).expect("reuse target exists");
                     // The idle period ends here: pending settlement
-                    // entries and ladder timers die via the epoch bump.
+                    // entries and keep-alive timers die via the epoch
+                    // bump.
                     c.ladder = None;
                     if class == ReuseClass::SharedPacked {
                         c.apply(LifecycleEvent::Adopt { function: f })
@@ -839,11 +841,7 @@ impl<'a> Engine<'a> {
                         .expect("idle user container can execute");
                     c.init_language = Some(profile.language);
                     c.assigned = Some(assignment);
-                    c.epoch
-                };
-                // The reused container's pending keep-alive timer is
-                // now dead; let the queue drop it early.
-                self.events.note(id, epoch);
+                }
                 self.events
                     .push(exec_done, EventKind::ExecComplete { container: id });
             }
@@ -976,7 +974,6 @@ impl<'a> Engine<'a> {
         };
         self.record_waste(mem, since, self.now, IdleOutcome::Miss);
         self.pool.remove(id);
-        self.events.retire(id);
         let ctx = self.ctx();
         self.policy.on_terminated(&ctx, id);
     }
@@ -1012,15 +1009,15 @@ impl<'a> Engine<'a> {
     // Lazy ladder settlement
     //
     // When a policy exposes its full downgrade schedule as a TtlLadder,
-    // the engine stops re-arming a timer per rung. Instead it keeps one
-    // settlement-heap entry per idle container (plus a single terminal
-    // IdleTimeout at the ladder's death) and replays every elapsed
+    // the engine arms no timer for it. Instead it keeps one
+    // settlement-heap entry per idle container and replays every elapsed
     // boundary — waste records, physical downgrades, terminations — the
     // moment the clock next moves, before any handler can observe the
-    // pool. The test-only eager oracle (`run_eager`) pushes one
-    // IdleTimeout per rung instead and settles from the same heap, so
-    // both execute identical settlement sequences; they differ only in
-    // event multiplicity.
+    // pool; a LadderWake covers boundaries while work is queued, and
+    // `finish` settles the rest. The test-only eager oracle (`run_eager`)
+    // pushes one IdleTimeout per rung instead and settles from the same
+    // heap, so both execute identical settlement sequences; they differ
+    // only in event multiplicity.
     // ------------------------------------------------------------------
 
     /// Whether a settlement-heap entry still describes the container's
@@ -1092,7 +1089,6 @@ impl<'a> Engine<'a> {
         self.record_waste(mem, idle_since, b, IdleOutcome::Miss);
         if last {
             self.pool.remove(id);
-            self.events.retire(id);
             // `self.now` may already be past `b`; the policy must see
             // the termination at the boundary the eager chain fired at.
             let ctx = PolicyCtx {
@@ -1118,59 +1114,43 @@ impl<'a> Engine<'a> {
 
     /// Registers the container's current-rung boundary in the
     /// settlement heap (and, under the eager oracle, as a per-rung timer
-    /// event).
-    /// A never-expiring rung parks the container: no entry, and the
-    /// epoch is noted so any pending timer for it dies in-queue.
+    /// event). A never-expiring rung parks the container: no entry.
     fn push_boundary(&mut self, id: ContainerId) {
         let c = self.pool.get(id).expect("container exists");
         let epoch = c.epoch;
         let ls = c.ladder.expect("ladder container");
-        match ls.next_boundary(c.idle_since) {
-            Some(b) => {
-                let seq = self.settle_seq;
-                self.settle_seq += 1;
-                self.settle.push(Reverse((b, seq, id, epoch)));
-                if self.eager_chain() {
-                    self.events.push_ladder(
-                        b,
-                        EventKind::IdleTimeout {
-                            container: id,
-                            epoch,
-                        },
-                    );
-                }
+        if let Some(b) = ls.next_boundary(c.idle_since) {
+            let seq = self.settle_seq;
+            self.settle_seq += 1;
+            self.settle.push(Reverse((b, seq, id, epoch)));
+            if self.eager_chain() {
+                self.events.push_ladder(
+                    b,
+                    EventKind::IdleTimeout {
+                        container: id,
+                        epoch,
+                    },
+                );
             }
-            None => self.events.note(id, epoch),
         }
     }
 
     /// Puts a freshly idle container on `ladder`: rung 0 starts at its
-    /// `idle_since`, and exactly one terminal timer is armed at the
-    /// ladder's death (the eager oracle arms per-rung timers via
+    /// `idle_since` and its first boundary enters the settlement heap.
+    /// No timer is armed: tick-start settlement, a `LadderWake` while
+    /// work is queued, and `finish` settle every boundary, the last
+    /// rung's death included (the eager oracle arms per-rung timers via
     /// [`Self::push_boundary`] instead).
     fn install_ladder(&mut self, id: ContainerId, ladder: TtlLadder) {
-        let (idle_since, epoch) = {
+        {
             let mut c = self.pool.get_mut(id).expect("container exists");
             c.ladder = Some(LadderState {
                 ladder,
                 started: c.idle_since,
                 rung: 0,
             });
-            (c.idle_since, c.epoch)
-        };
-        self.push_boundary(id);
-        if !self.eager_chain() {
-            match ladder.death(idle_since) {
-                Some(death) => self.events.push_ladder(
-                    death,
-                    EventKind::IdleTimeout {
-                        container: id,
-                        epoch,
-                    },
-                ),
-                None => self.events.note(id, epoch),
-            }
         }
+        self.push_boundary(id);
         self.arm_pending_wake();
     }
 
@@ -1241,15 +1221,13 @@ impl<'a> Engine<'a> {
             // An invocation is bound (cold start, partial warm start, or
             // attach): begin execution immediately.
             let exec_done = inv.admit + inv.startup + inv.exec;
-            let epoch = {
+            {
                 let mut c = self.pool.get_mut(id).expect("init target exists");
                 c.apply(LifecycleEvent::BeginExecution {
                     function: inv.function,
                 })
                 .expect("initialized container can execute its invocation");
-                c.epoch
-            };
-            self.events.note(id, epoch);
+            }
             self.events
                 .push(exec_done, EventKind::ExecComplete { container: id });
         } else {
@@ -1289,7 +1267,7 @@ impl<'a> Engine<'a> {
     /// schedules the timeout (unless the TTL is unbounded). A policy
     /// that exposes its whole downgrade schedule up front
     /// ([`Policy::ttl_ladder`]) takes the ladder path instead: one
-    /// settlement entry plus a single terminal timer.
+    /// settlement entry and no timer.
     fn arm_idle_ttl(&mut self, id: ContainerId) {
         let view = self.pool.view_of(id);
         let ctx = self.ctx();
@@ -1302,13 +1280,11 @@ impl<'a> Engine<'a> {
     }
 
     fn schedule_timeout(&mut self, id: ContainerId, ttl: Micros) {
-        let epoch = self.pool.get(id).expect("container exists").epoch;
         if ttl == Micros::MAX {
-            // Never expires (e.g. FaaSCache keep-alive) — but still
-            // record the epoch so older pending timers die in-queue.
-            self.events.note(id, epoch);
+            // Never expires (e.g. FaaSCache keep-alive).
             return;
         }
+        let epoch = self.pool.get(id).expect("container exists").epoch;
         self.events.push(
             self.now + ttl,
             EventKind::IdleTimeout {
@@ -1324,10 +1300,12 @@ impl<'a> Engine<'a> {
             _ => return, // stale (container reused, repurposed, or gone)
         };
         if on_ladder {
-            // A ladder-band timer (lazy terminal or eager rung): every
-            // boundary at or before now settles here; the policy is not
-            // consulted (the schedule was fixed at idle time). Drain
-            // gating mirrors `handle_ladder_wake`.
+            // An eager rung timer: production arms no ladder timer, so
+            // only the test-only oracle gets here. Every boundary at or
+            // before now settles; the policy is not consulted (the
+            // schedule was fixed at idle time). Drain gating mirrors
+            // `handle_ladder_wake`.
+            debug_assert!(self.eager_chain(), "a ladder container got a timer");
             if self.settle_due(self.now, true) > 0 {
                 self.drain_pending();
             }
@@ -1490,9 +1468,7 @@ mod tests {
     use rainbowcake_core::profile::FunctionProfile;
     use rainbowcake_core::rainbow::RainbowCake;
     use rainbowcake_core::types::Language;
-    use rainbowcake_trace::azure::{azure_like_trace, AzureConfig};
     use rainbowcake_trace::Trace;
-    use rainbowcake_workloads::paper_catalog;
 
     use crate::config::CheckpointConfig;
 
@@ -1876,8 +1852,8 @@ mod tests {
 
     #[test]
     fn parked_ladder_settles_at_finish() {
-        // A ladder whose second rung never expires has no terminal
-        // timer; with no later events, the first boundary is settled by
+        // A ladder whose second rung never expires parks the container;
+        // with no later events, the first boundary is settled by
         // `finish`, and the waste books must still match the eager run
         // whose rung timer fired during the loop.
         let cat = catalog();
@@ -1910,8 +1886,8 @@ mod tests {
     fn lazy_timers_dispatch_fewer_events() {
         let cat = catalog();
         // Several full idle periods: eager walks 3 rung timers per
-        // period, lazy pays one terminal timer plus tick-start
-        // settlement.
+        // period, lazy arms no timer and pays only tick-start (and
+        // `finish`) settlement.
         let trace = trace_of(&[(0, 0), (100, 0), (200, 1), (300, 0)], 500);
         let run_mode = |eager| {
             let mut p = LadderPolicy::new(Micros::from_secs(10));
@@ -1951,6 +1927,12 @@ mod tests {
         );
         assert!(lazy.events_per_invocation() > 0.0);
         assert!(lazy.events_per_invocation() < eager.events_per_invocation());
+        let timeout = kind_rank(&EventKind::IdleTimeout {
+            container: ContainerId::new(0),
+            epoch: 0,
+        });
+        assert_eq!(lazy.counts[timeout], 0, "a ladder container got a timer");
+        assert!(eager.counts[timeout] > 0);
     }
 
     /// Runs `p` on arrivals at the given microsecond timestamps (all of
@@ -2149,44 +2131,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_pushes_are_delivered_or_dropped_as_stale() {
-        // A real run: RainbowCake on the paper catalog, one Azure-like
-        // hour, memory tight enough to evict and queue. Every event the
-        // queue takes is dispatched or dropped as stale by the end, and
-        // arrivals never enter it.
-        let catalog = paper_catalog();
-        let trace = azure_like_trace(
-            catalog.len(),
-            &AzureConfig {
-                hours: 1,
-                rate_scale: 4.0,
-                ..AzureConfig::default()
-            },
-        );
-        let mut policy = RainbowCake::with_defaults(&catalog).unwrap();
-        let mut profile = EngineProfile::default();
-        let report = run(
-            &catalog,
-            &mut policy,
-            trace.iter().copied(),
-            trace.horizon(),
-            &SimConfig::with_memory(MemMb::new(4_096)),
-            Some(&mut profile),
-        );
-        let arrivals = profile.counts[kind_rank(&EventKind::Arrival {
-            function: FunctionId::new(0),
-        })];
-        assert_eq!(arrivals, trace.len() as u64);
-        assert!(report.invocations() > 1_000);
-        let queue = profile.queue;
-        assert!(queue.stale_dropped > 0 && queue.cascade_moves > 0);
-        assert_eq!(
-            queue.pushes,
-            profile.total_events() - arrivals + queue.stale_dropped
-        );
-    }
-
-    #[test]
     fn queue_time_counts_in_e2e() {
         let cat = catalog();
         let mut p = TestPolicy::keepalive(Micros::from_mins(10));
@@ -2201,9 +2145,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// The lazy-ladder oracle: on arbitrary traces, seeds, and memory
-        /// budgets (pressure included), a RainbowCake run with one
-        /// terminal timer per idle period is byte-identical to the eager
-        /// per-rung chain. Debug builds additionally check every
+        /// budgets (pressure included), a RainbowCake run on the lazy
+        /// schedule, which arms no ladder timer, is byte-identical to the
+        /// eager per-rung chain. Debug builds additionally check every
         /// tick-start settlement against the eager-chain schedule walk
         /// (`LadderState::effective_at`) via a `debug_assert` in
         /// `settle_due`.

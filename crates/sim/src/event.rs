@@ -15,16 +15,13 @@
 //! advances the wheel past the next arrival, so that arrival's handlers
 //! can still schedule at its own tick.
 //!
-//! On top of the wheel the queue maintains per-container
-//! **generation stamps** so that stale container events (the old
-//! `IdleTimeout` left behind by every reuse and every layer downgrade)
-//! are dropped inside the queue instead of surviving until the engine's
-//! handler filters them. Dropping is a pure optimization: an event is
-//! discarded only when the stamp *proves* the handler would ignore it,
-//! so a missed invalidation degrades to the old filter-at-handler
-//! behaviour and never changes simulation results.
+//! The queue delivers every event it links. An event whose container
+//! moved on since it was scheduled (reused, re-armed, repurposed or
+//! removed) is stale, and the engine's handlers turn it into a no-op by
+//! checking its epoch against the live container; the queue itself
+//! never inspects epochs except to re-arm a timer in place.
 //!
-//! The stamp table also remembers each container's pending
+//! Per pool slot the queue remembers the container's pending
 //! `IdleTimeout` node, so a keep-alive re-arm is **deferred in place**:
 //! when a container goes idle again while the timer of its previous
 //! idle period is still pending — stale, and no later than the new
@@ -34,7 +31,7 @@
 //! is the lazy reset of Varghese & Lauck's timing wheels: every warm
 //! start's completion re-arms its container's timer, and without it
 //! each re-arm would push a new event and leave the old one to be
-//! dropped as stale.
+//! delivered as a no-op.
 
 use std::collections::VecDeque;
 
@@ -55,8 +52,8 @@ pub enum EventKind {
         function: FunctionId,
     },
     /// A container finished initializing (cold start, partial warm
-    /// start, or pre-warm). `epoch` guards against stale events after
-    /// the container was repurposed.
+    /// start, or pre-warm). The engine ignores it if `epoch` no longer
+    /// matches the container (it was repurposed).
     InitComplete {
         /// The container.
         container: ContainerId,
@@ -72,7 +69,7 @@ pub enum EventKind {
     IdleTimeout {
         /// The container.
         container: ContainerId,
-        /// Epoch the TTL was armed in; stale epochs are ignored.
+        /// Epoch the TTL was armed in; the engine ignores stale epochs.
         epoch: u64,
     },
     /// A pre-warm timer scheduled by the policy fired (Alg. 1).
@@ -86,24 +83,9 @@ pub enum EventKind {
     /// downgrade releases admits them at the same instant the eager
     /// chain would have. Deliberately container-free — the container
     /// whose boundary armed it may be reused meanwhile, but *another*
-    /// container's boundary may still need the wake, so the event must
-    /// never be cancelled as stale. A wake with nothing to do is a
-    /// harmless no-op.
+    /// container's boundary may still need the wake. A wake with nothing
+    /// to do is a harmless no-op.
     LadderWake,
-}
-
-impl EventKind {
-    /// The `(container, epoch)` pair of an epoch-guarded container
-    /// event, if this is one. Only these events participate in
-    /// generation-stamp cancellation; `ExecComplete` carries no epoch
-    /// and is never dropped.
-    fn guard(&self) -> Option<(ContainerId, u64)> {
-        match *self {
-            EventKind::InitComplete { container, epoch }
-            | EventKind::IdleTimeout { container, epoch } => Some((container, epoch)),
-            _ => None,
-        }
-    }
 }
 
 /// A scheduled event.
@@ -173,8 +155,8 @@ struct Level {
 /// Slot events live in one node slab; a slot is a linked list through
 /// it, and vacated nodes go on a free list. A push takes a free node, a
 /// cascade relinks each node at its event's time in place, and a drain
-/// or stale drop frees it, so the slab only grows to the peak number of
-/// pending events and the steady state allocates nothing.
+/// frees it, so the slab only grows to the peak number of pending
+/// events and the steady state allocates nothing.
 ///
 /// Pushes are O(1); each event cascades down at most `LEVELS - 1` times
 /// before popping, plus one relink per deferral it absorbed, so pops
@@ -294,12 +276,12 @@ impl Wheel {
     }
 
     /// Returns `node` to the free list, and forgets it as its
-    /// container's pending timer if the stamp table still names it.
-    fn release(&mut self, node: u32, stamps: &mut [Stamp]) {
+    /// container's pending timer if `timers` still names it.
+    fn release(&mut self, node: u32, timers: &mut [u32]) {
         if let EventKind::IdleTimeout { container, .. } = self.nodes[node as usize].event.kind {
-            if let Some(stamp) = stamps.get_mut(container.slot()) {
-                if stamp.timer == node {
-                    stamp.timer = NIL;
+            if let Some(timer) = timers.get_mut(container.slot()) {
+                if *timer == node {
+                    *timer = NIL;
                 }
             }
         }
@@ -314,23 +296,7 @@ impl Wheel {
     /// `current` is non-empty and holds it. On `false` every pending
     /// event is later than `limit`, and `cursor <= limit` if it moved, so
     /// events may still be pushed at `limit`.
-    ///
-    /// Events the stamp table already proves stale are dropped right
-    /// here (decrementing `len` and counting into `stats`) instead of
-    /// being cascaded onward: a reused container's abandoned minutes-out
-    /// `IdleTimeout` would otherwise ride the cascade through every
-    /// finer level just to be discarded at the head. Dropping earlier
-    /// than a drain would is unobservable — stamps never un-stale an
-    /// event — and the count keeps `len + stale_dropped + deferred`
-    /// exactly equal to the heap reference's `len + stale_dropped`
-    /// (this module's tests).
-    fn advance(
-        &mut self,
-        limit: u64,
-        stamps: &mut [Stamp],
-        len: &mut usize,
-        stats: &mut QueueStats,
-    ) -> bool {
+    fn advance(&mut self, limit: u64, timers: &mut [u32], stats: &mut QueueStats) -> bool {
         loop {
             if !self.current.is_empty() {
                 return self.cursor <= limit;
@@ -363,13 +329,9 @@ impl Wheel {
                 let Node { event, next } = self.nodes[node as usize];
                 let t = event.time.as_micros();
                 debug_assert!(t >= self.cursor, "a node sits at or before its event");
-                if stale(stamps, &event) {
-                    *len -= 1;
-                    stats.stale_dropped += 1;
-                    self.release(node, stamps);
-                } else if t == self.cursor {
+                if t == self.cursor {
                     self.current.push_back(event);
-                    self.release(node, stamps);
+                    self.release(node, timers);
                 } else {
                     stats.cascade_moves += 1;
                     self.link(node, t);
@@ -388,88 +350,26 @@ impl Wheel {
     }
 }
 
-/// First sequence number of the ladder band: terminal ladder timers,
-/// [`EventKind::LadderWake`] wakes and the test-only eager rung timers
-/// sort *after* every runtime event sharing their tick (events the
-/// engine schedules while running draw seqs from 0 up). A ladder
-/// boundary at instant `b` therefore becomes visible strictly after all
-/// the tick-`b` work that was scheduled before it — the same within-tick
-/// position the eager downgrade chain gives its re-armed timers — so the
-/// lazy schedule and that oracle order identically by construction.
-/// Arrivals never enter the queue; the engine hands a tick's arrivals to
-/// its handlers before the queue's events. 2^60 leaves both bands room
-/// for a quintillion events.
+/// First sequence number of the ladder band: [`EventKind::LadderWake`]
+/// wakes and the test-only eager rung timers sort *after* every runtime
+/// event sharing their tick (events the engine schedules while running
+/// draw seqs from 0 up). A ladder boundary at instant `b` therefore
+/// becomes visible strictly after all the tick-`b` work that was
+/// scheduled before it — the same within-tick position the eager
+/// downgrade chain gives its re-armed timers — so the lazy schedule and
+/// that oracle order identically by construction. Arrivals never enter
+/// the queue; the engine hands a tick's arrivals to its handlers before
+/// the queue's events. 2^60 leaves both bands room for a quintillion
+/// events.
 const LADDER_SEQ_BASE: u64 = 1 << 60;
-
-/// A per-container-slot generation stamp: events scheduled for an older
-/// slot generation (`seq`) or an older epoch of the current generation
-/// are provably stale.
-#[derive(Debug, Clone, Copy)]
-struct Stamp {
-    /// Creation sequence of the container currently (or last) occupying
-    /// the pool slot.
-    seq: u32,
-    /// Lowest epoch of that container still worth delivering; events
-    /// below it would fail the handler's `c.epoch == epoch` check.
-    min_epoch: u64,
-    /// The wheel node holding this generation's latest `IdleTimeout`
-    /// push while it is pending in a slot, else [`NIL`]. A release
-    /// clears it, so it never names a free node.
-    timer: u32,
-}
-
-impl Default for Stamp {
-    fn default() -> Self {
-        Stamp {
-            seq: 0,
-            min_epoch: 0,
-            timer: NIL,
-        }
-    }
-}
-
-/// Stamp-table staleness check shared by the wheel's cascade and the
-/// queue's peek and drain — a free function so it can run while the
-/// wheel is mutably borrowed.
-fn stale(stamps: &[Stamp], event: &Event) -> bool {
-    let Some((container, epoch)) = event.kind.guard() else {
-        return false;
-    };
-    match stamps.get(container.slot()) {
-        Some(stamp) => {
-            stamp.seq > container.seq() || (stamp.seq == container.seq() && epoch < stamp.min_epoch)
-        }
-        None => false,
-    }
-}
-
-/// Raises `container`'s stamp to at least `epoch` (see
-/// [`EventQueue::note`]).
-fn note_stamp(stamps: &mut Vec<Stamp>, container: ContainerId, epoch: u64) {
-    let slot = container.slot();
-    if slot >= stamps.len() {
-        stamps.resize(slot + 1, Stamp::default());
-    }
-    let stamp = &mut stamps[slot];
-    let seq = container.seq();
-    if seq > stamp.seq {
-        *stamp = Stamp {
-            seq,
-            min_epoch: epoch,
-            timer: NIL,
-        };
-    } else if seq == stamp.seq && epoch > stamp.min_epoch {
-        stamp.min_epoch = epoch;
-    }
-}
 
 /// Work counters of an [`EventQueue`]. They are always on: each is a
 /// plain increment on a path that already touches the event.
 ///
-/// Every pushed event is eventually delivered by a drain or dropped as
-/// stale, so once the queue is empty `pushes` equals delivered events
-/// plus `stale_dropped`. A deferred re-arm links no event, so it is not
-/// a push: `pushes + deferred` counts every schedule call.
+/// Every pushed event is eventually delivered by a drain, so once the
+/// queue is empty `pushes` equals delivered events. A deferred re-arm
+/// links no event, so it is not a push: `pushes + deferred` counts every
+/// schedule call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Events linked into the wheel.
@@ -477,14 +377,9 @@ pub struct QueueStats {
     /// Events a slot walk relinked into another slot: a cascade to a
     /// finer level, or a deferred re-arm moving on to its own time.
     pub cascade_moves: u64,
-    /// Events discarded as provably stale instead of delivered. The
-    /// wheel drops some mid-cascade, so `len` alone may run below a
-    /// pop-time filter's — but `len + stale_dropped + deferred` is
-    /// exact.
-    pub stale_dropped: u64,
     /// `IdleTimeout` schedules absorbed in place by the container's
     /// pending, now stale timer node: each replaces one push and one
-    /// later stale drop.
+    /// later no-op delivery.
     pub deferred: u64,
 }
 
@@ -493,7 +388,6 @@ impl QueueStats {
     pub fn merge(&mut self, other: &QueueStats) {
         self.pushes += other.pushes;
         self.cascade_moves += other.cascade_moves;
-        self.stale_dropped += other.stale_dropped;
         self.deferred += other.deferred;
     }
 }
@@ -504,13 +398,15 @@ pub struct EventQueue {
     wheel: Wheel,
     /// Next runtime-band sequence number (starts at 0).
     next_seq: u64,
-    /// Next ladder-band sequence number (starts at
-    /// [`LADDER_SEQ_BASE`]).
+    /// Next ladder-band sequence number (starts at `LADDER_SEQ_BASE`).
     next_ladder_seq: u64,
     len: usize,
     stats: QueueStats,
-    /// Generation stamps indexed by pool slot (`ContainerId::slot`).
-    stamps: Vec<Stamp>,
+    /// Per pool slot (`ContainerId::slot`), the wheel node holding the
+    /// slot's latest `IdleTimeout` push while it is pending in a wheel
+    /// slot, else [`NIL`]. A release clears it, so it never names a
+    /// free node.
+    timers: Vec<u32>,
 }
 
 impl Default for EventQueue {
@@ -528,7 +424,7 @@ impl EventQueue {
             next_ladder_seq: LADDER_SEQ_BASE,
             len: 0,
             stats: QueueStats::default(),
-            stamps: Vec::new(),
+            timers: Vec::new(),
         }
     }
 
@@ -541,8 +437,9 @@ impl EventQueue {
 
     /// Schedules `kind` at `time` in the high (ladder) sequence band:
     /// at any tick, ladder events sort after every runtime event
-    /// regardless of when they were pushed — see [`LADDER_SEQ_BASE`].
-    /// Used for ladder terminal timers and [`EventKind::LadderWake`].
+    /// regardless of when they were pushed (see `LADDER_SEQ_BASE`).
+    /// Used for [`EventKind::LadderWake`] and the test-only eager
+    /// oracle's rung timers.
     pub fn push_ladder(&mut self, time: Instant, kind: EventKind) {
         let seq = self.next_ladder_seq;
         self.next_ladder_seq += 1;
@@ -550,34 +447,31 @@ impl EventQueue {
     }
 
     fn schedule(&mut self, event: Event) {
-        // Scheduling an epoch-guarded event proves the container has
-        // reached that epoch, so anything older is already stale.
         let mut timer_slot = None;
-        if let Some((container, epoch)) = event.kind.guard() {
-            self.note(container, epoch);
-            if let EventKind::IdleTimeout { .. } = event.kind {
-                // The container's previous timer, if still pending in a
-                // slot at or before this deadline, is now stale: take
-                // over its node instead of linking a new one.
-                let slot = container.slot();
-                if self.wheel.rearm(self.stamps[slot].timer, &event) {
-                    self.stats.deferred += 1;
-                    return;
-                }
-                timer_slot = Some(slot);
+        if let EventKind::IdleTimeout { container, .. } = event.kind {
+            // The container's previous timer, if still pending in a slot
+            // at or before this deadline, is stale now: take over its
+            // node instead of linking a new one.
+            let slot = container.slot();
+            if slot >= self.timers.len() {
+                self.timers.resize(slot + 1, NIL);
             }
+            if self.wheel.rearm(self.timers[slot], &event) {
+                self.stats.deferred += 1;
+                return;
+            }
+            timer_slot = Some(slot);
         }
         self.len += 1;
         self.stats.pushes += 1;
         let node = self.wheel.push(event);
         if let Some(slot) = timer_slot {
-            self.stamps[slot].timer = node.unwrap_or(NIL);
+            self.timers[slot] = node.unwrap_or(NIL);
         }
     }
 
-    /// The timestamp of the earliest live pending event, if it is at or
-    /// before `limit`; `None` if every pending event is later. Provably
-    /// stale heads are discarded along the way.
+    /// The timestamp of the earliest pending event, if it is at or
+    /// before `limit`; `None` if every pending event is later.
     ///
     /// The wheel's cursor advances to the returned time, or on `None` to
     /// at most `limit`, so afterwards events may be pushed at or after
@@ -586,30 +480,13 @@ impl EventQueue {
     /// still schedule at its tick; [`Instant::MAX`] makes the peek
     /// unbounded. The advance costs one comparison per slot opened.
     pub fn peek_time_until(&mut self, limit: Instant) -> Option<Instant> {
-        let EventQueue {
-            wheel,
-            len,
-            stats,
-            stamps,
-            ..
-        } = self;
-        loop {
-            if !wheel.advance(limit.as_micros(), stamps, len, stats) {
-                return None;
-            }
-            let event = *wheel.current.front().expect("advance returned true");
-            if stale(stamps, &event) {
-                wheel.current.pop_front();
-                *len -= 1;
-                stats.stale_dropped += 1;
-                continue;
-            }
-            return Some(event.time);
-        }
+        self.wheel
+            .advance(limit.as_micros(), &mut self.timers, &mut self.stats)
+            .then(|| Instant::from_micros(self.wheel.cursor))
     }
 
-    /// Appends every live event of the head tick to `out`, in `seq`
-    /// order, and removes them from the queue. Call it right after
+    /// Appends every event of the head tick to `out`, in `seq` order,
+    /// and removes them from the queue. Call it right after
     /// [`EventQueue::peek_time_until`] returned that tick; `out` is a
     /// caller-owned scratch buffer, so its capacity is recycled across
     /// ticks.
@@ -619,53 +496,21 @@ impl EventQueue {
     /// events at the tick in total (time, seq) order, and anything a
     /// handler pushes *at* the tick gets a higher `seq` within its band
     /// and lands in the next batch, just as it would land after the
-    /// in-flight pops. An event that becomes stale mid-batch (its
-    /// container was reused by an earlier event in the same tick) is
-    /// still delivered, exactly as per-event popping would deliver it —
-    /// the engine's epoch re-checks make it a no-op either way; the
-    /// stamp filter here only drops events already stale at drain time.
+    /// in-flight pops. Stale events are delivered like any other, in
+    /// either mode; the engine's epoch checks make them no-ops.
     pub fn drain_tick(&mut self, out: &mut Vec<Event>) {
-        let EventQueue {
-            wheel,
-            len,
-            stats,
-            stamps,
-            ..
-        } = self;
         // Wheel invariant: `current` holds exactly the events at
         // `cursor`, the peeked tick, seq-sorted.
-        for event in wheel.current.drain(..) {
-            debug_assert_eq!(event.time.as_micros(), wheel.cursor);
-            *len -= 1;
-            if stale(stamps, &event) {
-                stats.stale_dropped += 1;
-            } else {
-                out.push(event);
-            }
-        }
+        let Wheel {
+            current, cursor, ..
+        } = &mut self.wheel;
+        debug_assert!(current.iter().all(|e| e.time.as_micros() == *cursor));
+        self.len -= current.len();
+        out.extend(current.drain(..));
     }
 
-    /// Records that `container`'s epoch is at least `epoch`: pending
-    /// epoch-guarded events below that epoch (or for an older occupant
-    /// of the same pool slot) will be dropped inside the queue instead
-    /// of reaching the engine.
-    ///
-    /// Calling this is never required for correctness — the engine's
-    /// handlers re-check epochs against live containers — it only lets
-    /// the queue discard provably dead timers early.
-    pub fn note(&mut self, container: ContainerId, epoch: u64) {
-        note_stamp(&mut self.stamps, container, epoch);
-    }
-
-    /// Marks `container` destroyed: every pending epoch-guarded event
-    /// for it is now dead.
-    pub fn retire(&mut self, container: ContainerId) {
-        self.note(container, u64::MAX);
-    }
-
-    /// Number of pending events. Stale events count until the queue
-    /// discards them — mid-cascade, at a peek or at a drain — or a
-    /// deferred re-arm overwrites them.
+    /// Number of pending events: every linked event, until a drain
+    /// delivers it.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -715,15 +560,15 @@ mod tests {
     }
 
     impl EventQueue {
-        /// Pops the earliest live event: the per-event reference that
-        /// tick draining is checked against.
+        /// Pops the earliest event: the per-event reference that tick
+        /// draining is checked against.
         fn pop(&mut self) -> Option<Event> {
             self.peek_time_until(Instant::MAX)?;
             self.len -= 1;
             self.wheel.current.pop_front()
         }
 
-        /// Drains the earliest live tick into `out` (cleared first) and
+        /// Drains the earliest tick into `out` (cleared first) and
         /// returns its time: the engine's peek-then-drain, unbounded.
         fn pop_tick(&mut self, out: &mut Vec<Event>) -> Option<Instant> {
             out.clear();
@@ -735,15 +580,26 @@ mod tests {
 
     /// The original `BinaryHeap` future-event list, kept as the naive
     /// reference the wheel is checked against: the same two sequence
-    /// bands and generation stamps, but a plain heap that filters stale
-    /// events only when they reach the head.
+    /// bands, a plain heap, and no in-place re-arm, so it delivers every
+    /// event ever scheduled.
+    ///
+    /// It also judges staleness, with generation stamps: per pool slot,
+    /// the latest container generation and the lowest epoch of it still
+    /// live. Scheduling an epoch-guarded event (`InitComplete`,
+    /// `IdleTimeout`) raises its container's stamp, `note` stands for a
+    /// reuse and `retire` for a removal. A timer the wheel's re-arm
+    /// overwrote is stale under this rule, so the wheel must deliver
+    /// exactly the heap's events minus some stale ones, and exactly
+    /// `deferred` of them.
     struct HeapQueue {
         heap: BinaryHeap<Event>,
         /// Next sequence number of the runtime and the ladder band.
         next_seq: [u64; 2],
-        len: usize,
-        stale_dropped: u64,
-        stamps: Vec<Stamp>,
+        /// `(generation, lowest live epoch)` per pool slot.
+        stamps: Vec<(u32, u64)>,
+        /// Stale events popped to reach a wheel delivery (or skipped
+        /// where the wheel found nothing): the timers it overwrote.
+        skipped: u64,
     }
 
     impl HeapQueue {
@@ -751,19 +607,19 @@ mod tests {
             HeapQueue {
                 heap: BinaryHeap::new(),
                 next_seq: [0, LADDER_SEQ_BASE],
-                len: 0,
-                stale_dropped: 0,
                 stamps: Vec::new(),
+                skipped: 0,
             }
         }
 
         fn schedule(&mut self, band: usize, time: Instant, kind: EventKind) {
-            if let Some((container, epoch)) = kind.guard() {
+            if let EventKind::InitComplete { container, epoch }
+            | EventKind::IdleTimeout { container, epoch } = kind
+            {
                 self.note(container, epoch);
             }
             let seq = self.next_seq[band];
             self.next_seq[band] += 1;
-            self.len += 1;
             self.heap.push(Event { time, seq, kind });
         }
 
@@ -775,31 +631,85 @@ mod tests {
             self.schedule(1, time, kind);
         }
 
+        /// Records that `container` reached `epoch`: its events below
+        /// it, and every event of an older occupant of its pool slot,
+        /// are stale.
         fn note(&mut self, container: ContainerId, epoch: u64) {
-            note_stamp(&mut self.stamps, container, epoch);
+            let slot = container.slot();
+            if slot >= self.stamps.len() {
+                self.stamps.resize(slot + 1, (0, 0));
+            }
+            let (generation, min_epoch) = &mut self.stamps[slot];
+            if container.seq() > *generation {
+                (*generation, *min_epoch) = (container.seq(), epoch);
+            } else if container.seq() == *generation {
+                *min_epoch = (*min_epoch).max(epoch);
+            }
         }
 
+        /// Marks `container` destroyed: all of its events are stale.
         fn retire(&mut self, container: ContainerId) {
             self.note(container, u64::MAX);
         }
 
-        /// The earliest live event's time, dropping stale heads.
-        fn peek_time(&mut self) -> Option<Instant> {
-            loop {
-                let event = *self.heap.peek()?;
-                if !stale(&self.stamps, &event) {
-                    return Some(event.time);
-                }
-                self.heap.pop();
-                self.len -= 1;
-                self.stale_dropped += 1;
-            }
+        fn stale(&self, event: &Event) -> bool {
+            let (EventKind::InitComplete { container, epoch }
+            | EventKind::IdleTimeout { container, epoch }) = event.kind
+            else {
+                return false;
+            };
+            self.stamps
+                .get(container.slot())
+                .is_some_and(|&(generation, min_epoch)| {
+                    generation > container.seq()
+                        || (generation == container.seq() && epoch < min_epoch)
+                })
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
         }
 
         fn pop(&mut self) -> Option<Event> {
-            self.peek_time()?;
-            self.len -= 1;
             self.heap.pop()
+        }
+
+        /// Pops through the wheel's next delivery `next`: every event
+        /// the heap holds before it must be stale, and `next` must come.
+        /// With `None` (the wheel is empty) every remaining event must be
+        /// stale.
+        fn pop_through(&mut self, next: Option<&Event>) -> bool {
+            while let Some(head) = self.heap.pop() {
+                if Some(&head) == next {
+                    return true;
+                }
+                if !self.stale(&head) {
+                    return false;
+                }
+                self.skipped += 1;
+            }
+            next.is_none()
+        }
+
+        /// Pops every event at or before `limit`, where the wheel found
+        /// none: each must be stale.
+        fn skip_through(&mut self, limit: u64) -> bool {
+            while let Some(&head) = self.heap.peek() {
+                if head.time.as_micros() > limit {
+                    break;
+                }
+                if !self.stale(&head) {
+                    return false;
+                }
+                self.heap.pop();
+                self.skipped += 1;
+            }
+            true
+        }
+
+        /// Events ever scheduled.
+        fn schedules(&self) -> u64 {
+            self.next_seq[0] + self.next_seq[1] - LADDER_SEQ_BASE
         }
     }
 
@@ -926,70 +836,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_epoch_events_are_dropped_in_pop() {
-        let c = ContainerId::new(4);
-        let mut q = EventQueue::new();
-        q.push(
-            t(10),
-            EventKind::IdleTimeout {
-                container: c,
-                epoch: 1,
-            },
-        );
-        assert_eq!(q.len(), 1);
-        // The container moved on to epoch 3: the pending timeout is dead.
-        q.note(c, 3);
-        assert!(q.pop().is_none());
-        assert!(q.is_empty());
-
-        // An event at the current epoch survives.
-        q.push(
-            t(20),
-            EventKind::IdleTimeout {
-                container: c,
-                epoch: 3,
-            },
-        );
-        assert!(q.pop().is_some());
-    }
-
-    #[test]
-    fn retired_and_reused_slots_drop_old_generations() {
-        let old = ContainerId::from_parts(1, 9);
-        let new = ContainerId::from_parts(2, 9); // same pool slot, later container
-        let mut q = EventQueue::new();
-        q.push(
-            t(10),
-            EventKind::IdleTimeout {
-                container: old,
-                epoch: 0,
-            },
-        );
-        q.retire(old);
-        assert!(q.pop().is_none());
-
-        q.push(
-            t(20),
-            EventKind::IdleTimeout {
-                container: old,
-                epoch: 9,
-            },
-        );
-        // A new container occupies the slot: the old generation's event
-        // is dead, the new one's is live.
-        q.push(
-            t(30),
-            EventKind::InitComplete {
-                container: new,
-                epoch: 0,
-            },
-        );
-        let popped = q.pop().unwrap();
-        assert_eq!(popped.time, t(30));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
     fn pop_tick_drains_exactly_one_timestamp() {
         let mut q = EventQueue::new();
         q.push(t(10), prewarm(0));
@@ -1030,29 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_tick_drops_stale_events() {
-        let c = ContainerId::from_parts(1, 3);
-        let mut q = EventQueue::new();
-        q.push(
-            t(10),
-            EventKind::IdleTimeout {
-                container: c,
-                epoch: 0,
-            },
-        );
-        q.push(t(10), prewarm(7));
-        q.note(c, 5);
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_tick(&mut batch), Some(t(10)));
-        assert_eq!(batch.len(), 1);
-        assert!(matches!(
-            batch[0].kind,
-            EventKind::PrewarmFire { function } if function.index() == 7
-        ));
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn pop_tick_matches_per_event_pops() {
         let times = [7u64, 7, 0, 3, 100_000, 64, 65, 63, 4096, 7, 1 << 40, 0];
         let mut batched = EventQueue::new();
@@ -1071,15 +894,6 @@ mod tests {
     }
 
     #[test]
-    fn exec_complete_is_never_dropped() {
-        let c = ContainerId::new(2);
-        let mut q = EventQueue::new();
-        q.push(t(10), EventKind::ExecComplete { container: c });
-        q.retire(c);
-        assert!(q.pop().is_some());
-    }
-
-    #[test]
     fn ladder_band_sorts_last_at_a_tick() {
         // A ladder event at a tick pops after every runtime event at
         // that tick, even when pushed first.
@@ -1091,25 +905,11 @@ mod tests {
     }
 
     #[test]
-    fn ladder_wake_is_never_stale() {
-        let c = ContainerId::new(3);
-        let mut q = EventQueue::new();
-        q.push_ladder(t(10), EventKind::LadderWake);
-        // Retiring containers never touches a payload-free wake.
-        q.retire(c);
-        assert!(matches!(
-            q.pop().map(|e| e.kind),
-            Some(EventKind::LadderWake)
-        ));
-    }
-
-    #[test]
-    fn stale_drop_accounting_matches_the_heap_reference() {
-        // The wheel drops stale events mid-cascade, the heap at the
-        // head, and the wheel absorbs each rising-epoch re-arm in place
-        // where the heap keeps the stale timer until it pops, so `len`
-        // alone diverges — but delivered events plus `len +
-        // stale_dropped (+ deferred)` is conserved identically.
+    fn rearm_accounting_matches_the_heap_reference() {
+        // Each later, higher-epoch timeout takes over the pending node,
+        // so the wheel delivers one of the four where the heap delivers
+        // all of them; the three it skips are stale, and
+        // `len + deferred` tracks the heap's `len + skipped`.
         let c = ContainerId::from_parts(1, 2);
         let mut wheel = EventQueue::new();
         let mut heap = HeapQueue::new();
@@ -1125,25 +925,22 @@ mod tests {
         heap.push(t(5), prewarm(0));
         wheel.push(t(2_000_000), prewarm(1));
         heap.push(t(2_000_000), prewarm(1));
-        // Invalidate epochs < 3; three of the four timeouts die.
-        wheel.note(c, 3);
-        heap.note(c, 3);
+        let mut delivered = Vec::new();
         loop {
-            let (a, b) = (wheel.pop(), heap.pop());
-            assert_eq!(a, b);
-            let stats = wheel.stats();
+            let next = wheel.pop();
+            assert!(heap.pop_through(next.as_ref()));
             assert_eq!(
-                wheel.len() as u64 + stats.stale_dropped + stats.deferred,
-                heap.len as u64 + heap.stale_dropped,
+                wheel.len() as u64 + wheel.stats().deferred,
+                heap.len() as u64 + heap.skipped,
             );
-            if a.is_none() {
-                break;
+            match next {
+                Some(e) => delivered.push(e.time.as_micros()),
+                None => break,
             }
         }
-        // Each later, higher-epoch timeout took over the pending node.
+        assert_eq!(delivered, vec![5, 1_000_003, 2_000_000]);
         assert_eq!(wheel.stats().deferred, 3);
-        assert_eq!(wheel.stats().stale_dropped, 0);
-        assert_eq!(heap.stale_dropped, 3);
+        assert_eq!(heap.skipped, 3);
     }
 
     #[test]
@@ -1171,7 +968,6 @@ mod tests {
             QueueStats {
                 pushes: 1,
                 cascade_moves: 1,
-                stale_dropped: 0,
                 deferred: 1,
             }
         );
@@ -1181,28 +977,22 @@ mod tests {
     fn rearm_at_an_earlier_deadline_links_a_new_timer() {
         // The pending node fires later than the new deadline, so it
         // cannot hold it: the re-arm is a push, and the old timer is
-        // dropped as stale when the walk reaches it.
+        // delivered at its own time, for the engine's epoch check to
+        // ignore.
         let c = ContainerId::from_parts(1, 0);
+        let timeout = |epoch| EventKind::IdleTimeout {
+            container: c,
+            epoch,
+        };
         let mut q = EventQueue::new();
-        q.push(
-            t(1_000),
-            EventKind::IdleTimeout {
-                container: c,
-                epoch: 0,
-            },
-        );
-        q.push(
-            t(500),
-            EventKind::IdleTimeout {
-                container: c,
-                epoch: 1,
-            },
-        );
+        q.push(t(1_000), timeout(0));
+        q.push(t(500), timeout(1));
         assert_eq!(q.stats().deferred, 0);
-        assert_eq!(q.pop().map(|e| e.time), Some(t(500)));
-        assert!(q.pop().is_none());
-        let stats = q.stats();
-        assert_eq!((stats.pushes, stats.stale_dropped), (2, 1));
+        let delivered: Vec<(Instant, EventKind)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.time, e.kind))
+            .collect();
+        assert_eq!(delivered, [(t(500), timeout(1)), (t(1_000), timeout(0))]);
+        assert_eq!(q.stats().pushes, 2);
     }
 
     #[test]
@@ -1215,35 +1005,31 @@ mod tests {
             q.push(t(time), EventKind::IdleTimeout { container, epoch });
         }
         // Only the last push re-arms: `a`'s epoch-0 timer at 20 becomes
-        // its epoch-1 timer at 40; the one at 10 is dropped as stale.
+        // its epoch-1 timer at 40; the one at 10 is delivered.
         assert_eq!(q.stats().deferred, 1);
         let delivered: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|e| e.time.as_micros())
             .collect();
-        assert_eq!(delivered, vec![30, 40]);
-        assert_eq!(q.stats().stale_dropped, 1);
+        assert_eq!(delivered, vec![10, 30, 40]);
     }
 
     #[test]
-    fn peek_reports_head_and_drops_stale_heads() {
-        let c = ContainerId::new(4);
+    fn peek_reports_the_head_and_keeps_it() {
         let mut q = EventQueue::new();
         assert_eq!(q.peek_time_until(Instant::MAX), None);
         q.push(
             t(10),
             EventKind::IdleTimeout {
-                container: c,
+                container: ContainerId::new(4),
                 epoch: 0,
             },
         );
         q.push(t(30), prewarm(1));
         assert_eq!(q.peek_time_until(Instant::MAX), Some(t(10)));
-        // Invalidate the head: peek must skip to the live event and
-        // discard the stale one for good.
-        q.note(c, 5);
-        assert_eq!(q.peek_time_until(Instant::MAX), Some(t(30)));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.stats().stale_dropped, 1);
+        // Peeking again removes nothing.
+        assert_eq!(q.peek_time_until(Instant::MAX), Some(t(10)));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop().map(|e| e.time), Some(t(10)));
         assert_eq!(q.pop().map(|e| e.time), Some(t(30)));
         assert!(q.is_empty());
     }
@@ -1275,44 +1061,34 @@ mod tests {
 
     #[test]
     fn stats_count_pushes_and_cascade_moves() {
-        let c = ContainerId::new(1);
         let mut q = EventQueue::new();
         // 100 µs out sits at level 1 (cursor 0): one relink down to
-        // level 0 before it pops. 10 µs out sits at level 0 already, and
-        // the retired container's timeout is dropped as stale.
+        // level 0 before it pops. 10 and 20 µs out sit at level 0
+        // already.
         q.push(t(100), prewarm(0));
         q.push(t(10), prewarm(1));
-        q.push_ladder(
-            t(20),
-            EventKind::IdleTimeout {
-                container: c,
-                epoch: 0,
-            },
-        );
-        q.retire(c);
+        q.push_ladder(t(20), EventKind::LadderWake);
         let delivered = std::iter::from_fn(|| q.pop()).count() as u64;
         let stats = q.stats();
-        assert_eq!(delivered, 2);
+        assert_eq!(delivered, 3);
         assert_eq!(
             stats,
             QueueStats {
                 pushes: 3,
                 cascade_moves: 1,
-                stale_dropped: 1,
                 deferred: 0,
             }
         );
-        assert_eq!(stats.pushes, delivered + stats.stale_dropped);
+        assert_eq!(stats.pushes, delivered);
     }
 
     #[test]
     fn node_slab_never_outgrows_peak_pending() {
         // A long stream with a bounded backlog, spread from within the
         // current level-0 window to minutes out so events wait at every
-        // level, while newer epochs and retirements kill most of them
-        // on the way. Every node a drain or stale drop frees must be
-        // reused: the slab may only grow to the most events ever
-        // pending at once.
+        // level, while rising epochs re-arm timers in place on the way.
+        // Every node a drain frees must be reused: the slab may only
+        // grow to the most events ever pending at once.
         let mut q = EventQueue::new();
         let mut batch = Vec::new();
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -1332,7 +1108,7 @@ mod tests {
                 3 | 4 => q.push(time, EventKind::InitComplete { container, epoch }),
                 5 => q.push(time, prewarm((x >> 4) as u32 % 8)),
                 6 => q.push_ladder(time, EventKind::LadderWake),
-                _ => q.retire(container),
+                _ => q.push(time, EventKind::ExecComplete { container }),
             }
             peak = peak.max(q.len());
             while q.len() > 200 {
@@ -1344,15 +1120,17 @@ mod tests {
                 q.wheel.nodes.len()
             );
         }
-        // Drops dwarf the slab, so leaked nodes would have shown.
-        assert!(q.stats().stale_dropped > 50 * peak as u64);
+        // Deliveries dwarf the slab, so leaked nodes would have shown.
+        assert!(q.stats().pushes - q.len() as u64 > 50 * peak as u64);
     }
 
     proptest! {
-        /// The timer wheel must pop the exact event sequence of the heap
-        /// reference under arbitrary interleavings of schedules,
-        /// generation-stamp invalidations (note/retire), and pops: same
-        /// events, same times, same tie-breaking, same stale drops.
+        /// The timer wheel must deliver the heap reference's event
+        /// sequence under arbitrary interleavings of schedules,
+        /// reuses and removals (which only move the staleness
+        /// predicate), and pops: same events, same times, same
+        /// tie-breaking, except the stale timers its in-place re-arms
+        /// overwrote — exactly `deferred` of them.
         #[test]
         fn wheel_matches_heap_reference(
             ops in prop::collection::vec((0u8..6, any::<u64>(), any::<u64>(), any::<u64>()), 1..200),
@@ -1360,9 +1138,8 @@ mod tests {
             let mut wheel = EventQueue::new();
             let mut heap = HeapQueue::new();
             // The wheel cannot schedule into the past. Its time frontier
-            // is the last popped event — including events dropped as
-            // stale inside `pop`, so after a `pop` that returns `None`
-            // the frontier may sit at the latest timestamp ever
+            // is the last popped event, so after a `pop` that returns
+            // `None` the frontier may sit at the latest timestamp ever
             // scheduled.
             let mut now = 0u64;
             let mut high = 0u64;
@@ -1390,21 +1167,19 @@ mod tests {
                             heap.push(time, kind);
                         }
                     }
-                    // Invalidate stale epochs / whole containers.
-                    3 => {
-                        wheel.note(ctr(a, b), c % 5);
-                        heap.note(ctr(a, b), c % 5);
-                    }
-                    4 => {
-                        wheel.retire(ctr(a, b));
-                        heap.retire(ctr(a, b));
-                    }
-                    // Pop a few from both and compare exactly.
+                    // Stale epochs / whole containers.
+                    3 => heap.note(ctr(a, b), c % 5),
+                    4 => heap.retire(ctr(a, b)),
+                    // Pop a few and match them against the heap.
                     _ => {
                         for _ in 0..=(b % 3) {
-                            let (x, y) = (wheel.pop(), heap.pop());
-                            prop_assert_eq!(&x, &y);
-                            match x {
+                            let next = wheel.pop();
+                            prop_assert!(
+                                heap.pop_through(next.as_ref()),
+                                "the wheel delivered {:?} out of the heap's order, or skipped a live event",
+                                next
+                            );
+                            match next {
                                 Some(e) => now = e.time.as_micros(),
                                 None => {
                                     now = high;
@@ -1414,35 +1189,26 @@ mod tests {
                         }
                     }
                 }
-                // The wheel may discard stale events mid-cascade, before
-                // the heap's pop-time filter would, and absorbs a stale
-                // timer into its container's re-arm; its len can only
-                // run at or below the heap's. The slack is exactly the
-                // stale drops and deferrals the wheel has counted: `len
-                // + stale_dropped + deferred` is conserved.
-                prop_assert!(wheel.len() <= heap.len);
-                let stats = wheel.stats();
+                // Every overwritten timer is still pending in the heap or
+                // was skipped there.
                 prop_assert_eq!(
-                    wheel.len() as u64 + stats.stale_dropped + stats.deferred,
-                    heap.len as u64 + heap.stale_dropped,
-                    "live + stale-dropped + deferred must be conserved"
+                    wheel.len() as u64 + wheel.stats().deferred,
+                    heap.len() as u64 + heap.skipped,
+                    "len + deferred must be conserved"
                 );
             }
-            // Drain both to the end: the full remaining sequences agree.
+            // Drain to the end: the full remaining sequences agree.
             loop {
-                let (x, y) = (wheel.pop(), heap.pop());
-                prop_assert_eq!(&x, &y);
-                if x.is_none() {
+                let next = wheel.pop();
+                prop_assert!(heap.pop_through(next.as_ref()));
+                if next.is_none() {
                     break;
                 }
             }
-            prop_assert!(wheel.is_empty() && heap.len == 0);
+            prop_assert!(wheel.is_empty() && heap.len() == 0);
             let stats = wheel.stats();
-            prop_assert_eq!(stats.stale_dropped + stats.deferred, heap.stale_dropped);
-            prop_assert_eq!(
-                stats.pushes + stats.deferred,
-                heap.next_seq[0] + heap.next_seq[1] - LADDER_SEQ_BASE
-            );
+            prop_assert_eq!(stats.deferred, heap.skipped);
+            prop_assert_eq!(stats.pushes + stats.deferred, heap.schedules());
         }
 
         /// A drained tick must hold each timestamp's events in the exact
@@ -1494,10 +1260,11 @@ mod tests {
         /// go idle again and again with rising epochs, each re-arm at a
         /// deadline from "this very microsecond" to minutes out — later
         /// than the pending timer (absorbed in place) or earlier (linked
-        /// anew) — mixed with reuses (`note`), retirements that hand the
-        /// slot to the next generation, other traffic, and the engine's
-        /// bounded peeks. Same pops, same ticks, and the same
-        /// conservation laws as the other heap-reference properties.
+        /// anew) — mixed with reuses, removals that hand the slot to the
+        /// next generation, other traffic, and the engine's bounded peeks.
+        /// Same deliveries up to overwritten stale timers, same ticks,
+        /// and the same conservation laws as the other heap-reference
+        /// properties.
         #[test]
         fn rearms_match_heap_reference(
             ops in prop::collection::vec((0u8..9, any::<u64>(), any::<u64>()), 1..300),
@@ -1527,11 +1294,9 @@ mod tests {
                     }
                     4 => {
                         epochs[k] += 1;
-                        wheel.note(container, epochs[k]);
                         heap.note(container, epochs[k]);
                     }
                     5 => {
-                        wheel.retire(container);
                         heap.retire(container);
                         generations[k] += 1;
                         epochs[k] = 0;
@@ -1546,19 +1311,18 @@ mod tests {
                         match wheel.peek_time_until(t(limit)) {
                             Some(tick) => {
                                 prop_assert!(tick.as_micros() <= limit);
-                                prop_assert_eq!(heap.peek_time(), Some(tick));
                                 batch.clear();
                                 wheel.drain_tick(&mut batch);
-                                let mut expected = Vec::new();
-                                while heap.peek_time() == Some(tick) {
-                                    expected.extend(heap.pop());
+                                prop_assert!(!batch.is_empty());
+                                for event in &batch {
+                                    prop_assert_eq!(event.time, tick);
+                                    prop_assert!(heap.pop_through(Some(event)));
                                 }
-                                prop_assert_eq!(&batch, &expected);
                                 now = tick.as_micros();
                             }
                             None => {
                                 prop_assert!(
-                                    heap.peek_time().is_none_or(|h| h.as_micros() > limit),
+                                    heap.skip_through(limit),
                                     "the wheel missed a live event at or before the limit"
                                 );
                                 now = limit;
@@ -1566,38 +1330,35 @@ mod tests {
                         }
                     }
                 }
-                let stats = wheel.stats();
                 prop_assert_eq!(
-                    wheel.len() as u64 + stats.stale_dropped + stats.deferred,
-                    heap.len as u64 + heap.stale_dropped,
-                    "live + stale-dropped + deferred must be conserved"
+                    wheel.len() as u64 + wheel.stats().deferred,
+                    heap.len() as u64 + heap.skipped,
+                    "len + deferred must be conserved"
                 );
             }
             loop {
-                let (x, y) = (wheel.pop(), heap.pop());
-                prop_assert_eq!(&x, &y);
-                if x.is_none() {
+                let next = wheel.pop();
+                prop_assert!(heap.pop_through(next.as_ref()));
+                if next.is_none() {
                     break;
                 }
             }
-            prop_assert!(wheel.is_empty() && heap.len == 0);
+            prop_assert!(wheel.is_empty() && heap.len() == 0);
             let stats = wheel.stats();
-            prop_assert_eq!(stats.stale_dropped + stats.deferred, heap.stale_dropped);
-            prop_assert_eq!(
-                stats.pushes + stats.deferred,
-                heap.next_seq[0] + heap.next_seq[1] - LADDER_SEQ_BASE
-            );
+            prop_assert_eq!(stats.deferred, heap.skipped);
+            prop_assert_eq!(stats.pushes + stats.deferred, heap.schedules());
         }
 
         /// The bounded peek against the heap reference, driven the way
         /// the engine's run loop drives it: random pushes (from "this
-        /// very microsecond" to minutes out), note/retire invalidations,
-        /// and arrival steps. An arrival step picks a `limit` at or
-        /// above the frontier and peeks with it. On `Some(t)` the wheel's
-        /// drained tick must equal the heap's live events at `t`; on
-        /// `None` the heap must hold nothing live at or before `limit`,
-        /// and the arrival's handlers then schedule at `limit` or later —
-        /// which only works if the cursor stayed at or below `limit`.
+        /// very microsecond" to minutes out), reuses and removals, and
+        /// arrival steps. An arrival step picks a `limit` at or above the
+        /// frontier and peeks with it. On `Some(t)` the wheel's drained
+        /// tick must be the heap's next events, up to overwritten stale
+        /// timers; on `None` the heap must hold nothing live at or before
+        /// `limit`, and the arrival's handlers then schedule at `limit`
+        /// or later — which only works if the cursor stayed at or below
+        /// `limit`.
         #[test]
         fn bounded_peek_matches_heap_reference(
             ops in prop::collection::vec((0u8..7, any::<u64>(), any::<u64>(), any::<u64>()), 1..200),
@@ -1629,32 +1390,25 @@ mod tests {
             for (op, a, b, c) in ops {
                 match op {
                     0..=2 => schedule(&mut wheel, &mut heap, t(now + a % spread(b)), b >> 2, c),
-                    3 => {
-                        wheel.note(ctr(a, b), c % 5);
-                        heap.note(ctr(a, b), c % 5);
-                    }
-                    4 => {
-                        wheel.retire(ctr(a, b));
-                        heap.retire(ctr(a, b));
-                    }
+                    3 => heap.note(ctr(a, b), c % 5),
+                    4 => heap.retire(ctr(a, b)),
                     _ => {
                         let limit = now + a % spread(b);
                         match wheel.peek_time_until(t(limit)) {
                             Some(tick) => {
                                 prop_assert!(tick.as_micros() <= limit);
-                                prop_assert_eq!(heap.peek_time(), Some(tick));
                                 batch.clear();
                                 wheel.drain_tick(&mut batch);
-                                let mut expected = Vec::new();
-                                while heap.peek_time() == Some(tick) {
-                                    expected.extend(heap.pop());
+                                prop_assert!(!batch.is_empty());
+                                for event in &batch {
+                                    prop_assert_eq!(event.time, tick);
+                                    prop_assert!(heap.pop_through(Some(event)));
                                 }
-                                prop_assert_eq!(&batch, &expected);
                                 now = tick.as_micros();
                             }
                             None => {
                                 prop_assert!(
-                                    heap.peek_time().is_none_or(|h| h.as_micros() > limit),
+                                    heap.skip_through(limit),
                                     "the wheel missed a live event at or before the limit"
                                 );
                                 now = limit;
@@ -1666,28 +1420,24 @@ mod tests {
                         }
                     }
                 }
-                let stats = wheel.stats();
                 prop_assert_eq!(
-                    wheel.len() as u64 + stats.stale_dropped + stats.deferred,
-                    heap.len as u64 + heap.stale_dropped,
-                    "live + stale-dropped + deferred must be conserved"
+                    wheel.len() as u64 + wheel.stats().deferred,
+                    heap.len() as u64 + heap.skipped,
+                    "len + deferred must be conserved"
                 );
             }
-            // Drain both to the end: the full remaining sequences agree.
+            // Drain to the end: the full remaining sequences agree.
             loop {
-                let (x, y) = (wheel.pop(), heap.pop());
-                prop_assert_eq!(&x, &y);
-                if x.is_none() {
+                let next = wheel.pop();
+                prop_assert!(heap.pop_through(next.as_ref()));
+                if next.is_none() {
                     break;
                 }
             }
-            prop_assert!(wheel.is_empty() && heap.len == 0);
+            prop_assert!(wheel.is_empty() && heap.len() == 0);
             let stats = wheel.stats();
-            prop_assert_eq!(stats.stale_dropped + stats.deferred, heap.stale_dropped);
-            prop_assert_eq!(
-                stats.pushes + stats.deferred,
-                heap.next_seq[0] + heap.next_seq[1] - LADDER_SEQ_BASE
-            );
+            prop_assert_eq!(stats.deferred, heap.skipped);
+            prop_assert_eq!(stats.pushes + stats.deferred, heap.schedules());
         }
     }
 }

@@ -9,13 +9,19 @@
 //!   the admission queue and its ladder wakes do work.
 //!
 //! Each run records, as integers, its completed invocations, the events
-//! dispatched per kind, the event queue's pushes, cascade moves, stale
-//! drops and deferred re-arms, and the history recorder's queries, scans
-//! and terms.
+//! dispatched per kind, the event queue's pushes, cascade moves and
+//! deferred re-arms, and the history recorder's queries, scans and
+//! terms.
 //! Unlike wall-clock throughput these counts are identical on every
 //! host, so a change that moves a layer's work shows up here as a
 //! reviewed diff of the fixture: on a mismatch the test prints the
 //! complete replacement file.
+//!
+//! Every run also checks queue conservation exactly: the queue drops
+//! nothing, and arrivals never enter it, so each linked event is
+//! dispatched exactly once and `queue.pushes` equals the dispatched
+//! non-arrival events. A deferred re-arm links nothing, so it is not a
+//! push.
 
 use rainbowcake::prelude::*;
 use rainbowcake::sim::EngineProfile;
@@ -42,6 +48,13 @@ fn counter_lines(
         config,
         Some(&mut profile),
     );
+    // `counts[0]` is `Arrival` (see `KIND_NAMES`), which never enters
+    // the queue.
+    assert_eq!(
+        profile.queue.pushes,
+        profile.counts[1..].iter().sum::<u64>(),
+        "{label}: every queued event is dispatched exactly once"
+    );
     let mut counters = vec![("invocations".to_string(), profile.invocations)];
     for (kind, &count) in EngineProfile::KIND_NAMES.iter().zip(&profile.counts) {
         counters.push((format!("events.{kind}"), count));
@@ -50,7 +63,6 @@ fn counter_lines(
     counters.extend([
         ("queue.pushes".to_string(), queue.pushes),
         ("queue.cascade_moves".to_string(), queue.cascade_moves),
-        ("queue.stale_dropped".to_string(), queue.stale_dropped),
         ("queue.deferred".to_string(), queue.deferred),
         ("history.queries".to_string(), history.queries),
         ("history.scans".to_string(), history.scans),
