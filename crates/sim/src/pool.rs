@@ -14,7 +14,7 @@
 //! The slab is split **struct-of-arrays** (DESIGN.md §9): the fields the
 //! per-event hot paths read — lifecycle tag, owner, layer, language,
 //! memory, idle timestamps, hit count — are mirrored into parallel
-//! dense arrays keyed by slot ([`Hot`]), while cold state (the layer
+//! dense arrays keyed by slot (`Hot`), while cold state (the layer
 //! stack machine, packed sets, assigned invocations) stays in the
 //! [`Container`] slab. Victim scans, idle-view rebuilds, and expiry
 //! checks touch only the contiguous hot arrays; the slab is consulted
@@ -873,7 +873,7 @@ impl Pool {
     /// * every hot-array entry matches the value derived from its slab
     ///   container, and vacated slots are tagged empty;
     /// * `live` holds exactly the occupied slots, in id order;
-    /// * every container whose [`IndexKey`] names a list — each idle
+    /// * every container whose `IndexKey` names a list — each idle
     ///   container with a layer list, each attachable initialization —
     ///   is on exactly that list, the lists' `prev`/`next` links are
     ///   mutual, and no list holds a vacant or busy slot;

@@ -7,9 +7,12 @@
 //!
 //! Determinism comes from routing order, per-shard subsequence order,
 //! and worker-index-order reduction — not from scheduling luck.
-//! `tests/golden_reports.rs` pins the bytes themselves.
+//! `tests/golden_reports.rs` pins the bytes themselves. One case runs
+//! the suite in a 1 GB pool per shard, so eviction, the admission queue
+//! and the ladder wakes are exercised across shards too.
 
 use rainbowcake::core::policy::Policy;
+use rainbowcake::prelude::{MemMb, Micros, SimConfig};
 use rainbowcake::sim::cluster::{
     run_cluster, run_cluster_streaming, ClusterReport, LocalitySharingLoad,
 };
@@ -76,5 +79,36 @@ fn merged_streaming_report_matches_merged_sequential() {
             sequential(&bed, "RainbowCake", shards).merged().to_json(),
             "merged reduction diverged at {shards} shards"
         );
+    }
+}
+
+#[test]
+fn suite_under_memory_pressure_is_byte_identical_across_shard_counts() {
+    // At 1 GB per shard every policy evicts and queues admissions, where
+    // the 240 GB default pool never does.
+    let mut bed = Testbed::paper_hours(2);
+    bed.config = SimConfig {
+        memory_capacity: MemMb::from_gb(1),
+        ..bed.config
+    };
+    for name in BASELINE_NAMES {
+        for shards in [1, 2, 4] {
+            let streaming = streamed(&bed, name, shards);
+            assert_eq!(
+                streaming.to_json(),
+                sequential(&bed, name, shards).to_json(),
+                "{name}: streaming pipeline diverged at {shards} shards under pressure"
+            );
+            let queued = streaming
+                .merged()
+                .records
+                .iter()
+                .filter(|r| r.queue > Micros::ZERO)
+                .count();
+            assert!(
+                queued > 0,
+                "{name} at {shards} shards queued nothing: the pool is not under pressure"
+            );
+        }
     }
 }
