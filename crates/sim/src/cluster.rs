@@ -412,21 +412,18 @@ pub struct ShardedRun {
     /// CPU seconds the router thread consumed (same accounting as
     /// [`ShardedRun::shard_cpu_s`]).
     pub route_cpu_s: f64,
-    /// Per-shard history-recorder query counters
-    /// ([`Policy::history_stats`]); zeroed for policies without a
-    /// recorder.
-    pub shard_history: Vec<HistoryStats>,
     /// Per-shard engine profiles: event counts per kind, completed
-    /// invocations and event-queue work.
+    /// invocations, event-queue work and history-recorder counters.
     pub shard_profiles: Vec<EngineProfile>,
 }
 
 impl ShardedRun {
-    /// History counters summed across shards.
+    /// History-recorder counters ([`Policy::history_stats`]) summed
+    /// across shards; zeroed for policies without a recorder.
     pub fn history(&self) -> HistoryStats {
         let mut total = HistoryStats::default();
-        for h in &self.shard_history {
-            total.merge(h);
+        for p in &self.shard_profiles {
+            total.merge(&p.history);
         }
         total
     }
@@ -489,7 +486,6 @@ pub fn run_cluster_streaming(
     let mut reports = Vec::with_capacity(workers);
     let mut shard_busy_s = vec![0.0f64; workers];
     let mut shard_cpu_s = vec![0.0f64; workers];
-    let mut shard_history = vec![HistoryStats::default(); workers];
     let mut shard_profiles = vec![EngineProfile::default(); workers];
     let mut route_s = 0.0f64;
     let mut route_cpu_s = 0.0f64;
@@ -514,8 +510,7 @@ pub fn run_cluster_streaming(
                 );
                 let busy = started.elapsed().as_secs_f64();
                 let cpu = thread_cpu_since(cpu_started).unwrap_or(busy);
-                let history = policy.history_stats().unwrap_or_default();
-                (report, busy, cpu, history, profile)
+                (report, busy, cpu, profile)
             }));
         }
         let route_started = std::time::Instant::now();
@@ -548,12 +543,10 @@ pub fn run_cluster_streaming(
         route_s = route_started.elapsed().as_secs_f64();
         route_cpu_s = thread_cpu_since(route_cpu_started).unwrap_or(route_s);
         for (w, handle) in handles.into_iter().enumerate() {
-            let (report, busy, cpu, history, profile) =
-                handle.join().expect("shard thread panicked");
+            let (report, busy, cpu, profile) = handle.join().expect("shard thread panicked");
             reports.push(report);
             shard_busy_s[w] = busy;
             shard_cpu_s[w] = cpu;
-            shard_history[w] = history;
             shard_profiles[w] = profile;
         }
     });
@@ -567,7 +560,6 @@ pub fn run_cluster_streaming(
         shard_cpu_s,
         route_s,
         route_cpu_s,
-        shard_history,
         shard_profiles,
     }
 }
@@ -863,6 +855,40 @@ mod tests {
         assert!((merged.total_waste().value() - report.total_waste()).abs() < 1e-9);
         // Merging is worker-index ordered, hence reproducible.
         assert_eq!(merged.to_json(), report.merged().to_json());
+    }
+
+    /// A shard's history counters come from its engine profile, so a
+    /// one-shard run reports exactly what a direct profiled `run` of the
+    /// same trace does.
+    #[test]
+    fn one_shard_history_matches_a_direct_run() {
+        let c = catalog();
+        let t = trace(&c);
+        let config = SimConfig::deterministic(1);
+        let factory =
+            || Box::new(RainbowCake::with_defaults(&c).expect("valid")) as Box<dyn Policy>;
+        let sharded = run_cluster_streaming(
+            &c,
+            &factory,
+            t.iter().copied(),
+            t.horizon(),
+            1,
+            &config,
+            &mut RoundRobin::new(),
+        );
+        let mut profile = EngineProfile::default();
+        let mut policy = factory();
+        run(
+            &c,
+            policy.as_mut(),
+            t.iter().copied(),
+            t.horizon(),
+            &config,
+            Some(&mut profile),
+        );
+        let history = sharded.history();
+        assert!(history.queries > 0, "{history:?}");
+        assert_eq!(history, profile.history);
     }
 
     #[test]

@@ -297,76 +297,32 @@ impl<'a> Engine<'a> {
         false
     }
 
-    /// Dispatches one tick's events in grouped runs of same-kind
-    /// events, so the per-event work is a direct handler call instead of
-    /// a queue pop plus an enum match. The batch holds the tick's stream
+    /// Dispatches one tick's events in order: the tick's stream
     /// arrivals, then the queue's events in per-event pop order — see
     /// `EventQueue::drain_tick` for the argument.
     ///
     /// Ladder boundaries strictly before the tick are settled first, so
     /// every handler observes the pool exactly as the eager per-rung
-    /// chain would have left it. With `profile` set, each grouped run is
+    /// chain would have left it. With `profile` set, each event is
     /// counted into the per-kind breakdown.
     fn dispatch_batch(&mut self, batch: &[Event], mut profile: Option<&mut EngineProfile>) {
         self.settle_due(self.now, false);
-        let mut start = 0;
-        while start < batch.len() {
-            let rank = kind_rank(&batch[start].kind);
-            let mut end = start + 1;
-            while end < batch.len() && kind_rank(&batch[end].kind) == rank {
-                end += 1;
-            }
-            match batch[start].kind {
-                EventKind::Arrival { .. } => {
-                    for event in &batch[start..end] {
-                        let EventKind::Arrival { function } = event.kind else {
-                            unreachable!("grouped run is homogeneous");
-                        };
-                        self.handle_arrival(function);
-                    }
-                }
-                EventKind::InitComplete { .. } => {
-                    for event in &batch[start..end] {
-                        let EventKind::InitComplete { container, epoch } = event.kind else {
-                            unreachable!("grouped run is homogeneous");
-                        };
-                        self.handle_init_complete(container, epoch);
-                    }
-                }
-                EventKind::ExecComplete { .. } => {
-                    for event in &batch[start..end] {
-                        let EventKind::ExecComplete { container } = event.kind else {
-                            unreachable!("grouped run is homogeneous");
-                        };
-                        self.handle_exec_complete(container);
-                    }
-                }
-                EventKind::IdleTimeout { .. } => {
-                    for event in &batch[start..end] {
-                        let EventKind::IdleTimeout { container, epoch } = event.kind else {
-                            unreachable!("grouped run is homogeneous");
-                        };
-                        self.handle_idle_timeout(container, epoch);
-                    }
-                }
-                EventKind::PrewarmFire { .. } => {
-                    for event in &batch[start..end] {
-                        let EventKind::PrewarmFire { function } = event.kind else {
-                            unreachable!("grouped run is homogeneous");
-                        };
-                        self.handle_prewarm_fire(function);
-                    }
-                }
-                EventKind::LadderWake => {
-                    for _ in start..end {
-                        self.handle_ladder_wake();
-                    }
-                }
-            }
+        for event in batch {
             if let Some(p) = profile.as_deref_mut() {
-                p.counts[rank] += (end - start) as u64;
+                p.counts[kind_rank(&event.kind)] += 1;
             }
-            start = end;
+            match event.kind {
+                EventKind::Arrival { function } => self.handle_arrival(function),
+                EventKind::InitComplete { container, epoch } => {
+                    self.handle_init_complete(container, epoch)
+                }
+                EventKind::ExecComplete { container } => self.handle_exec_complete(container),
+                EventKind::IdleTimeout { container, epoch } => {
+                    self.handle_idle_timeout(container, epoch)
+                }
+                EventKind::PrewarmFire { function } => self.handle_prewarm_fire(function),
+                EventKind::LadderWake => self.handle_ladder_wake(),
+            }
         }
     }
 
@@ -403,7 +359,7 @@ impl<'a> Engine<'a> {
             {
                 ticks += 1;
                 if ticks.is_multiple_of(COHERENCE_CHECK_TICKS) {
-                    self.pool.assert_hot_coherent();
+                    self.pool.assert_coherent();
                 }
             }
             let next_arrival = arrivals.peek().map(|a| a.time);
@@ -631,8 +587,7 @@ impl<'a> Engine<'a> {
         // indices — no views are built and `reuse_class` is never
         // called. The indices are unordered lists, but the winner does
         // not depend on visit order, so the per-class winners match the
-        // full `ReuseScope::All` scan over the same grants; `idle_since`
-        // is read from the pool's hot arrays.
+        // full `ReuseScope::All` scan over the same grants.
         {
             let ctx = self.ctx();
             let mut best: [Option<(ContainerId, Instant)>; 5] = [None; 5];

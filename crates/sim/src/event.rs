@@ -400,7 +400,6 @@ pub struct EventQueue {
     next_seq: u64,
     /// Next ladder-band sequence number (starts at `LADDER_SEQ_BASE`).
     next_ladder_seq: u64,
-    len: usize,
     stats: QueueStats,
     /// Per pool slot (`ContainerId::slot`), the wheel node holding the
     /// slot's latest `IdleTimeout` push while it is pending in a wheel
@@ -422,7 +421,6 @@ impl EventQueue {
             wheel: Wheel::new(),
             next_seq: 0,
             next_ladder_seq: LADDER_SEQ_BASE,
-            len: 0,
             stats: QueueStats::default(),
             timers: Vec::new(),
         }
@@ -462,7 +460,6 @@ impl EventQueue {
             }
             timer_slot = Some(slot);
         }
-        self.len += 1;
         self.stats.pushes += 1;
         let node = self.wheel.push(event);
         if let Some(slot) = timer_slot {
@@ -505,19 +502,7 @@ impl EventQueue {
             current, cursor, ..
         } = &mut self.wheel;
         debug_assert!(current.iter().all(|e| e.time.as_micros() == *cursor));
-        self.len -= current.len();
         out.extend(current.drain(..));
-    }
-
-    /// Number of pending events: every linked event, until a drain
-    /// delivers it.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The queue's work counters so far.
@@ -564,8 +549,32 @@ mod tests {
         /// draining is checked against.
         fn pop(&mut self) -> Option<Event> {
             self.peek_time_until(Instant::MAX)?;
-            self.len -= 1;
             self.wheel.current.pop_front()
+        }
+
+        /// Number of pending events, counted from what the wheel holds:
+        /// the events at `cursor` plus the nodes on every occupied slot
+        /// list. A re-armed node holds one event, so a deferral adds
+        /// nothing.
+        fn len(&self) -> usize {
+            let mut len = self.wheel.current.len();
+            for level in &self.wheel.levels {
+                let mut occupied = level.occupied;
+                while occupied != 0 {
+                    let slot = occupied.trailing_zeros() as usize;
+                    occupied &= occupied - 1;
+                    let mut node = level.slots[slot].head;
+                    while node != NIL {
+                        len += 1;
+                        node = self.wheel.nodes[node as usize].next;
+                    }
+                }
+            }
+            len
+        }
+
+        fn is_empty(&self) -> bool {
+            self.len() == 0
         }
 
         /// Drains the earliest tick into `out` (cleared first) and

@@ -71,10 +71,18 @@ proptest! {
         let t = Micros::from_millis(t_ms);
         let m = MemMb::new(mem);
         let beta = model.beta(t, m);
-        // alpha * t == (1 - alpha) * m * beta, within microsecond rounding.
+        // alpha * t == (1 - alpha) * m * beta, within microsecond rounding:
+        // beta is truncated to whole microseconds, so the waste side falls
+        // short of the startup side by less than (1 - alpha) * m * 1 us and
+        // never exceeds it (each bound with float slack).
         let lhs = alpha * t.as_secs_f64();
         let rhs = (1.0 - alpha) * m.as_gb_f64() * beta.as_secs_f64();
-        prop_assert!((lhs - rhs).abs() < lhs * 1e-3 + 1e-6, "lhs={lhs} rhs={rhs}");
+        let slack = lhs * 1e-12;
+        prop_assert!(rhs <= lhs + slack, "lhs={lhs} rhs={rhs}");
+        prop_assert!(
+            lhs - rhs <= (1.0 - alpha) * m.as_gb_f64() * 1e-6 + slack,
+            "lhs={lhs} rhs={rhs}"
+        );
     }
 
     #[test]
@@ -375,10 +383,9 @@ fn assert_pool_indices_match_scan(pool: &rainbowcake::sim::pool::Pool) {
         ids
     }
 
-    // The struct-of-arrays hot mirror must agree field-for-field with
-    // the slab cold state before any index is trusted (the indices are
-    // rebuilt from it on the fast paths).
-    pool.assert_hot_coherent();
+    // The pool's own structural check: lists, links, packed index and
+    // initializing count against the slab.
+    pool.assert_coherent();
 
     let scan_idle: Vec<_> = pool.iter().filter(|c| c.is_idle()).map(|c| c.id).collect();
     let scan_views: Vec<_> = pool
@@ -386,14 +393,17 @@ fn assert_pool_indices_match_scan(pool: &rainbowcake::sim::pool::Pool) {
         .filter(|c| c.is_idle())
         .map(|c| c.view())
         .collect();
-    assert_eq!(pool.idle_views(None), scan_views);
+    let mut views = Vec::new();
+    pool.idle_views_into(None, &mut views);
+    assert_eq!(views, scan_views);
     if let Some(&first) = scan_idle.first() {
         let excluded: Vec<_> = scan_views
             .iter()
             .filter(|v| v.id != first)
             .cloned()
             .collect();
-        assert_eq!(pool.idle_views(Some(first)), excluded);
+        pool.idle_views_into(Some(first), &mut views);
+        assert_eq!(views, excluded);
     }
 
     let scan: Vec<&Container> = pool.iter().collect();
@@ -442,7 +452,7 @@ fn assert_pool_indices_match_scan(pool: &rainbowcake::sim::pool::Pool) {
         .collect();
     assert_eq!(sorted(pool.idle_bare_ids()), expect_bare);
 
-    // Per-container hot-array accessors the engine scores from.
+    // Per-container accessors the engine scores from.
     for c in scan.iter().filter(|c| c.is_idle()) {
         assert_eq!(pool.idle_since_of(c.id), c.idle_since);
         assert_eq!(pool.owner_of(c.id), c.owner());
@@ -572,7 +582,12 @@ proptest! {
             prop_assert_eq!(streamed, sequential, "shards = {}", shards);
         }
     }
+}
 
+// The pool's indices against a linear scan: cheap enough for the
+// default case count, and the test that checks every index-backed
+// accessor.
+proptest! {
     #[test]
     fn pool_indices_always_agree_with_linear_scan(
         ops in prop::collection::vec((0u8..7, any::<u64>(), any::<u64>()), 1..80),
