@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use rainbowcake_bench::{make_policy, parallel};
 use rainbowcake_core::mem::MemMb;
-use rainbowcake_sim::{run, CheckpointConfig, SimConfig};
+use rainbowcake_sim::{run, SimConfig};
 use rainbowcake_trace::cv::{cv_trace, CvTraceConfig};
 use rainbowcake_trace::Trace;
 use rainbowcake_workloads::paper_catalog;
@@ -80,7 +80,7 @@ fn bench_sweeps(c: &mut Criterion) {
     // §7.8 in miniature: checkpointed run.
     group.bench_function("checkpoint_rainbowcake", |b| {
         let config = SimConfig {
-            checkpoint: Some(CheckpointConfig::default()),
+            checkpoint: true,
             ..SimConfig::default()
         };
         b.iter(|| {

@@ -8,7 +8,7 @@ use rainbowcake_bench::{
 };
 use rainbowcake_core::mem::MemMb;
 use rainbowcake_core::rainbow::RainbowCake;
-use rainbowcake_sim::{run, CheckpointConfig, SimConfig};
+use rainbowcake_sim::{run, SimConfig};
 use rainbowcake_trace::cv::paper_cv_sets;
 
 fn main() {
@@ -210,7 +210,7 @@ fn main() {
         bed.trace.iter().copied(),
         bed.trace.horizon(),
         &SimConfig {
-            checkpoint: Some(CheckpointConfig::default()),
+            checkpoint: true,
             ..bed.config.clone()
         },
         None,

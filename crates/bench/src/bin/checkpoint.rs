@@ -5,7 +5,7 @@
 
 use rainbowcake_bench::{print_table, Testbed};
 use rainbowcake_core::rainbow::RainbowCake;
-use rainbowcake_sim::{run, CheckpointConfig, SimConfig};
+use rainbowcake_sim::{run, SimConfig};
 
 fn main() {
     let bed = Testbed::paper_8h();
@@ -28,7 +28,7 @@ fn main() {
 
     let base = run_with(&bed.config);
     let cp_config = SimConfig {
-        checkpoint: Some(CheckpointConfig::default()),
+        checkpoint: true,
         ..bed.config.clone()
     };
     let cp = run_with(&cp_config);

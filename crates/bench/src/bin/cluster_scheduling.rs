@@ -32,7 +32,7 @@ fn main() {
     let mut routers: Vec<Box<dyn Router>> = vec![
         Box::new(RoundRobin::new()),
         Box::new(LeastLoaded::new()),
-        Box::new(LocalitySharingLoad::default()),
+        Box::new(LocalitySharingLoad),
     ];
 
     let mut rows = Vec::new();

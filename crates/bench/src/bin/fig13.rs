@@ -26,16 +26,7 @@ fn main() {
     for conc in (100..=1000).step_by(100) {
         let sample = |base: Micros, rng: &mut StdRng| {
             let total: f64 = (0..10_000)
-                .map(|_| {
-                    transition_overhead(
-                        base,
-                        conc,
-                        cfg.contention_coeff,
-                        cfg.transition_jitter,
-                        rng,
-                    )
-                    .as_millis_f64()
-                })
+                .map(|_| transition_overhead(base, conc, cfg.jitter, rng).as_millis_f64())
                 .sum();
             total / 10_000.0
         };

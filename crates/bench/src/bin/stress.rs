@@ -81,7 +81,7 @@ fn run_policy_sharded(
     shards: usize,
     config: &SimConfig,
 ) -> ShardedRun {
-    let mut router = LocalitySharingLoad::default();
+    let mut router = LocalitySharingLoad;
     let factory = || make_policy(name, catalog);
     run_cluster_streaming(
         catalog,
@@ -105,7 +105,7 @@ fn run_policy_sequential(
     config: &SimConfig,
 ) -> ClusterReport {
     let trace = Trace::from_arrivals(stream.horizon(), stream.iter().collect());
-    let mut router = LocalitySharingLoad::default();
+    let mut router = LocalitySharingLoad;
     let mut factory = || make_policy(name, catalog);
     run_cluster(catalog, &mut factory, &trace, shards, config, &mut router)
 }

@@ -104,35 +104,6 @@ where
         .collect()
 }
 
-/// Runs one simulation per `(policy name, config)` pair against `trace`,
-/// in parallel, returning reports in input order — the common shape of
-/// the paper's sweeps (same trace, varying policy or worker config).
-pub fn run_experiments(
-    catalog: &Catalog,
-    trace: &Trace,
-    experiments: &[(&str, SimConfig)],
-) -> Vec<RunReport> {
-    run_jobs(
-        experiments
-            .iter()
-            .map(|(name, config)| {
-                let (name, config) = (*name, config.clone());
-                move || {
-                    let mut policy = make_policy(name, catalog);
-                    run(
-                        catalog,
-                        policy.as_mut(),
-                        trace.iter().copied(),
-                        trace.horizon(),
-                        &config,
-                        None,
-                    )
-                }
-            })
-            .collect(),
-    )
-}
-
 /// Runs one simulation per named policy (same trace and config for all),
 /// in parallel, returning reports in input order.
 pub fn run_policies(

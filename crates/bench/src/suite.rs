@@ -41,7 +41,7 @@ pub fn make_policy(name: &str, catalog: &Catalog) -> Box<dyn Policy> {
             RainbowCake::new(
                 catalog,
                 RainbowConfig {
-                    variant: RainbowVariant::no_sharing_default(),
+                    variant: RainbowVariant::NoSharing,
                     ..RainbowConfig::default()
                 },
             )

@@ -61,7 +61,7 @@ pub mod types;
 
 /// Convenient glob-import of the most used items.
 pub mod prelude {
-    pub use crate::cost::{CostModel, CostTotals};
+    pub use crate::cost::CostModel;
     pub use crate::history::{HistoryRecorder, ShareScope};
     pub use crate::lifecycle::{LifecycleEvent, LifecycleState};
     pub use crate::mem::{GbSeconds, MemMb};

@@ -182,15 +182,6 @@ pub struct TtlLadder {
 }
 
 impl TtlLadder {
-    /// A single-rung ladder: keep alive for `ttl`, then terminate
-    /// (classic whole-container keep-alive).
-    pub fn single(ttl: Micros) -> Self {
-        TtlLadder {
-            ttls: [ttl, Micros::MAX, Micros::MAX],
-            rungs: 1,
-        }
-    }
-
     /// The instant rung `rung` expires for a container idle since
     /// `idle_since`, or `None` if an earlier (or that) rung never
     /// expires. Saturating: a sum overflowing the time domain counts as
@@ -451,29 +442,6 @@ pub fn lru_victims(candidates: &[ContainerView], need: MemMb) -> Vec<ContainerId
     victims
 }
 
-/// Startup latency `f` pays when reusing an idle container via `class`
-/// (the platform-side cost of each reuse tier). `packed_specialize` is
-/// the extra specialization cost of a re-packed container hit;
-/// `snapshot_restore_frac` is the fraction of the user-load stage paid
-/// when re-forking from a snapshot.
-pub fn reuse_startup(
-    profile: &FunctionProfile,
-    class: ReuseClass,
-    packed_specialize: Micros,
-    snapshot_restore_frac: f64,
-) -> Micros {
-    match class {
-        ReuseClass::WarmUser => profile.startup_from(Some(Layer::User)),
-        ReuseClass::SnapshotUser => {
-            profile.startup_from(Some(Layer::User))
-                + profile.stages.user.mul_f64(snapshot_restore_frac)
-        }
-        ReuseClass::SharedPacked => profile.startup_from(Some(Layer::User)) + packed_specialize,
-        ReuseClass::SharedLang => profile.startup_from(Some(Layer::Lang)),
-        ReuseClass::SharedBare => profile.startup_from(Some(Layer::Bare)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -619,19 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn reuse_startup_ordering() {
-        let profile = FunctionProfile::synthetic(FunctionId::new(0), Language::Java);
-        let specialize = Micros::from_millis(30);
-        let warm = reuse_startup(&profile, ReuseClass::WarmUser, specialize, 0.3);
-        let snap = reuse_startup(&profile, ReuseClass::SnapshotUser, specialize, 0.3);
-        let packed = reuse_startup(&profile, ReuseClass::SharedPacked, specialize, 0.3);
-        let lang = reuse_startup(&profile, ReuseClass::SharedLang, specialize, 0.3);
-        let bare = reuse_startup(&profile, ReuseClass::SharedBare, specialize, 0.3);
-        assert!(warm < packed && packed < snap && snap < lang && lang < bare);
-        assert!(bare < profile.cold_startup());
-    }
-
-    #[test]
     fn ladder_boundaries_accumulate_and_saturate() {
         let ladder = TtlLadder {
             ttls: [
@@ -654,10 +609,6 @@ mod tests {
         assert_eq!(parked.boundary(t0, 0), Some(t0 + Micros::from_mins(5)));
         assert_eq!(parked.boundary(t0, 1), None);
         assert_eq!(parked.boundary(t0, 2), None);
-        // The single-rung constructor is the classic keep-alive shape.
-        let single = TtlLadder::single(Micros::from_mins(10));
-        assert_eq!(single.rungs, 1);
-        assert_eq!(single.boundary(t0, 0), Some(t0 + Micros::from_mins(10)));
     }
 
     #[test]

@@ -13,47 +13,28 @@ use crate::profile::{Catalog, FunctionProfile};
 use crate::time::{Instant, Micros};
 use crate::types::{ContainerId, FunctionId, Layer};
 
-/// Eviction order used under memory pressure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionOrder {
-    /// Evict the least-recently-idle container.
-    #[default]
-    Lru,
-    /// Evict the container with the highest memory per unit of saved
-    /// startup latency (frees the most memory per warmth sacrificed).
-    LayerAware,
-}
-
 /// Ablation variants of §7.3.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RainbowVariant {
     /// The full design: sharing-aware modeling + layer-wise caching.
     Full,
     /// "RainbowCake w/o sharing-aware modeling": layer-wise caching with
-    /// fixed keep-alive TTLs per layer (the paper uses 5/3/2 minutes for
-    /// User/Lang/Bare).
-    NoSharing {
-        /// Fixed TTL at the `User` layer.
-        user_ttl: Micros,
-        /// Fixed TTL at the `Lang` layer.
-        lang_ttl: Micros,
-        /// Fixed TTL at the `Bare` layer.
-        bare_ttl: Micros,
-    },
+    /// the paper's fixed keep-alive TTLs per layer, 5/3/2 minutes for
+    /// User/Lang/Bare.
+    NoSharing,
     /// "RainbowCake w/o layer caching": only `User` containers are
     /// pre-warmed and kept alive; timeouts terminate instead of
     /// downgrading (skipping the Lang and Bare phases).
     NoLayers,
 }
 
-impl RainbowVariant {
-    /// The paper's fixed-TTL ablation settings (§7.3).
-    pub fn no_sharing_default() -> Self {
-        RainbowVariant::NoSharing {
-            user_ttl: Micros::from_mins(5),
-            lang_ttl: Micros::from_mins(3),
-            bare_ttl: Micros::from_mins(2),
-        }
+/// The fixed keep-alive TTL of [`RainbowVariant::NoSharing`] at `layer`
+/// (§7.3).
+fn no_sharing_ttl(layer: Layer) -> Micros {
+    match layer {
+        Layer::User => Micros::from_mins(5),
+        Layer::Lang => Micros::from_mins(3),
+        Layer::Bare => Micros::from_mins(2),
     }
 }
 
@@ -68,8 +49,6 @@ pub struct RainbowConfig {
     pub window: usize,
     /// Design variant (full or an ablation).
     pub variant: RainbowVariant,
-    /// Victim selection under memory pressure.
-    pub eviction: EvictionOrder,
 }
 
 impl Default for RainbowConfig {
@@ -79,7 +58,6 @@ impl Default for RainbowConfig {
             quantile: 0.8,
             window: 6,
             variant: RainbowVariant::Full,
-            eviction: EvictionOrder::Lru,
         }
     }
 }
@@ -114,11 +92,6 @@ pub struct RainbowCake {
     anchor_by_lang: [Option<FunctionId>; 3],
     /// Fallback anchor for containers with neither owner nor language.
     first_function: Option<FunctionId>,
-    /// Per-function, per-layer eviction warmth, indexed by
-    /// `FunctionId::index()` and `Layer::depth() - 1`: the startup
-    /// seconds a container at that layer saves over a cold start.
-    /// Profiles are immutable for a run, so this never invalidates.
-    warmth: Vec<[f64; 3]>,
 }
 
 impl RainbowCake {
@@ -144,18 +117,6 @@ impl RainbowCake {
                 *slot = Some(p.id);
             }
         }
-        let warmth = catalog
-            .iter()
-            .map(|p| {
-                let mut per_layer = [0.0; 3];
-                for layer in [Layer::Bare, Layer::Lang, Layer::User] {
-                    per_layer[layer.depth() - 1] = (p.cold_startup() - p.startup_from(Some(layer)))
-                        .as_secs_f64()
-                        .max(1e-9);
-                }
-                per_layer
-            })
-            .collect();
         Ok(RainbowCake {
             iat_numerator: -(1.0 - config.quantile).ln(),
             config,
@@ -163,7 +124,6 @@ impl RainbowCake {
             recorder,
             anchor_by_lang,
             first_function: catalog.iter().next().map(|p| p.id),
-            warmth,
         })
     }
 
@@ -215,19 +175,8 @@ impl RainbowCake {
         now: Instant,
         shared: &mut Option<SharingRates>,
     ) -> Micros {
-        match &self.config.variant {
-            RainbowVariant::NoSharing {
-                user_ttl,
-                lang_ttl,
-                bare_ttl,
-            } => {
-                return match layer {
-                    Layer::User => *user_ttl,
-                    Layer::Lang => *lang_ttl,
-                    Layer::Bare => *bare_ttl,
-                };
-            }
-            RainbowVariant::Full | RainbowVariant::NoLayers => {}
+        if self.config.variant == RainbowVariant::NoSharing {
+            return no_sharing_ttl(layer);
         }
         let rate = match layer {
             Layer::User => self.recorder.function_rate(f, now),
@@ -263,29 +212,13 @@ impl RainbowCake {
         }
         self.first_function.unwrap_or(FunctionId::new(0))
     }
-
-    /// Eviction warmth of `c` under its anchor function, from the
-    /// precomputed table (falling back to the profile for ids minted
-    /// outside the construction catalog).
-    fn layer_warmth(&self, ctx: &PolicyCtx<'_>, c: &ContainerView) -> f64 {
-        let f = self.anchor_function(c);
-        match self.warmth.get(f.index()) {
-            Some(per_layer) => per_layer[c.layer.depth() - 1],
-            None => {
-                let profile = ctx.profile(f);
-                (profile.cold_startup() - profile.startup_from(Some(c.layer)))
-                    .as_secs_f64()
-                    .max(1e-9)
-            }
-        }
-    }
 }
 
 impl Policy for RainbowCake {
     fn name(&self) -> &'static str {
         match self.config.variant {
             RainbowVariant::Full => "RainbowCake",
-            RainbowVariant::NoSharing { .. } => "RainbowCake-NoSharing",
+            RainbowVariant::NoSharing => "RainbowCake-NoSharing",
             RainbowVariant::NoLayers => "RainbowCake-NoLayers",
         }
     }
@@ -423,70 +356,13 @@ impl Policy for RainbowCake {
         }
     }
 
-    fn select_victim(
-        &mut self,
-        ctx: &PolicyCtx<'_>,
-        candidates: &[ContainerView],
-    ) -> Option<ContainerId> {
-        match self.config.eviction {
-            EvictionOrder::Lru => candidates
-                .iter()
-                .min_by_key(|c| (c.idle_since, c.id))
-                .map(|c| c.id),
-            EvictionOrder::LayerAware => candidates
-                .iter()
-                .max_by(|a, b| {
-                    // Warmth = startup latency this container saves over
-                    // a cold start; evict where memory freed per second
-                    // of warmth lost is highest.
-                    let score =
-                        |c: &ContainerView| c.memory.as_gb_f64() / self.layer_warmth(ctx, c);
-                    score(a)
-                        .partial_cmp(&score(b))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.id.cmp(&b.id))
-                })
-                .map(|c| c.id),
-        }
-    }
-
     fn select_victims(
         &mut self,
-        ctx: &PolicyCtx<'_>,
+        _: &PolicyCtx<'_>,
         candidates: &[ContainerView],
         need: MemMb,
     ) -> Vec<ContainerId> {
-        match self.config.eviction {
-            EvictionOrder::Lru => lru_victims(candidates, need),
-            EvictionOrder::LayerAware => {
-                // A candidate's score is independent of what else gets
-                // evicted, so scoring once and taking the best-scored
-                // prefix replays exactly the repeated `max_by`
-                // extraction of the one-at-a-time protocol.
-                let mut scored: Vec<(f64, ContainerId, MemMb)> = candidates
-                    .iter()
-                    .map(|c| {
-                        let warmth = self.layer_warmth(ctx, c);
-                        (c.memory.as_gb_f64() / warmth, c.id, c.memory)
-                    })
-                    .collect();
-                scored.sort_unstable_by(|a, b| {
-                    b.0.partial_cmp(&a.0)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(b.1.cmp(&a.1))
-                });
-                let mut victims = Vec::new();
-                let mut freed = MemMb::ZERO;
-                for (_, id, memory) in scored {
-                    if freed >= need {
-                        break;
-                    }
-                    freed += memory;
-                    victims.push(id);
-                }
-                victims
-            }
-        }
+        lru_victims(candidates, need)
     }
 }
 
@@ -702,7 +578,7 @@ mod tests {
     fn no_sharing_uses_fixed_ttls() {
         let c = catalog();
         let cfg = RainbowConfig {
-            variant: RainbowVariant::no_sharing_default(),
+            variant: RainbowVariant::NoSharing,
             ..RainbowConfig::default()
         };
         let mut p = RainbowCake::new(&c, cfg).unwrap();
@@ -720,7 +596,7 @@ mod tests {
     fn no_sharing_ladder_is_the_fixed_ttl_chain() {
         let c = catalog();
         let cfg = RainbowConfig {
-            variant: RainbowVariant::no_sharing_default(),
+            variant: RainbowVariant::NoSharing,
             ..RainbowConfig::default()
         };
         let mut p = RainbowCake::new(&c, cfg).unwrap();
@@ -796,7 +672,7 @@ mod tests {
         let ns = RainbowCake::new(
             &c,
             RainbowConfig {
-                variant: RainbowVariant::no_sharing_default(),
+                variant: RainbowVariant::NoSharing,
                 ..RainbowConfig::default()
             },
         )
@@ -828,7 +704,7 @@ mod tests {
         let ns = RainbowCake::new(
             &c,
             RainbowConfig {
-                variant: RainbowVariant::no_sharing_default(),
+                variant: RainbowVariant::NoSharing,
                 ..RainbowConfig::default()
             },
         )
@@ -879,40 +755,5 @@ mod tests {
         // A language absent from the catalog also falls back to fn 0.
         let orphan = view(Layer::Lang, None, Some(Language::NodeJs));
         assert_eq!(p.anchor_function(&orphan), FunctionId::new(0));
-    }
-
-    #[test]
-    fn warmth_table_matches_profile_math() {
-        let c = catalog();
-        let p = RainbowCake::with_defaults(&c).unwrap();
-        let cx = ctx(&c, 0);
-        for profile in c.iter() {
-            for layer in [Layer::Bare, Layer::Lang, Layer::User] {
-                let v = view(layer, Some(profile.id), Some(profile.language));
-                let want = (profile.cold_startup() - profile.startup_from(Some(layer)))
-                    .as_secs_f64()
-                    .max(1e-9);
-                assert_eq!(p.layer_warmth(&cx, &v), want);
-            }
-        }
-    }
-
-    #[test]
-    fn layer_aware_eviction_prefers_heavy_warm_containers() {
-        let c = catalog();
-        let cfg = RainbowConfig {
-            eviction: EvictionOrder::LayerAware,
-            ..RainbowConfig::default()
-        };
-        let mut p = RainbowCake::new(&c, cfg).unwrap();
-        let cx = ctx(&c, 0);
-        let mut heavy = view(Layer::User, Some(FunctionId::new(2)), Some(Language::Java));
-        heavy.id = ContainerId::new(7);
-        heavy.memory = MemMb::new(400);
-        let mut light = view(Layer::Bare, None, None);
-        light.id = ContainerId::new(8);
-        light.memory = MemMb::new(8);
-        let victim = p.select_victim(&cx, &[light.clone(), heavy.clone()]);
-        assert_eq!(victim, Some(ContainerId::new(7)));
     }
 }

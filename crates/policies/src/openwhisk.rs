@@ -14,26 +14,13 @@ use rainbowcake_core::types::ContainerId;
 pub const OPENWHISK_TTL: Micros = Micros::from_mins(10);
 
 /// OpenWhisk's default fixed keep-alive policy.
-#[derive(Debug, Clone)]
-pub struct OpenWhiskDefault {
-    ttl: Micros,
-}
+#[derive(Debug, Clone, Default)]
+pub struct OpenWhiskDefault;
 
 impl OpenWhiskDefault {
     /// Creates the policy with the standard 10-minute window.
     pub fn new() -> Self {
-        OpenWhiskDefault { ttl: OPENWHISK_TTL }
-    }
-
-    /// Creates the policy with a custom fixed window.
-    pub fn with_ttl(ttl: Micros) -> Self {
-        OpenWhiskDefault { ttl }
-    }
-}
-
-impl Default for OpenWhiskDefault {
-    fn default() -> Self {
-        OpenWhiskDefault::new()
+        OpenWhiskDefault
     }
 }
 
@@ -43,7 +30,7 @@ impl Policy for OpenWhiskDefault {
     }
 
     fn on_idle(&mut self, _: &PolicyCtx<'_>, _: &ContainerView) -> Micros {
-        self.ttl
+        OPENWHISK_TTL
     }
 
     fn on_timeout(&mut self, _: &PolicyCtx<'_>, _: &ContainerView) -> TimeoutDecision {
@@ -128,11 +115,5 @@ mod tests {
         view.layer = Layer::Lang;
         view.owner = None;
         assert_eq!(p.reuse_class(&ctx, FunctionId::new(0), &view), None);
-    }
-
-    #[test]
-    fn custom_window() {
-        let p = OpenWhiskDefault::with_ttl(Micros::from_mins(3));
-        assert_eq!(p.ttl, Micros::from_mins(3));
     }
 }

@@ -16,18 +16,24 @@ use rainbowcake_core::policy::{
 use rainbowcake_core::time::{Instant, Micros};
 use rainbowcake_core::types::{ContainerId, FunctionId};
 
+/// Private keep-alive phase before re-packing.
+const PRIVATE_TTL: Micros = Micros::from_mins(2);
+
+/// Shared (zygote) keep-alive phase before termination.
+const SHARED_TTL: Micros = Micros::from_mins(8);
+
+/// Maximum number of helper candidates packed into a zygote.
+const PACK_LIMIT: usize = 3;
+
+/// Arrival timestamps kept per function for candidate ranking.
+const RECENT_WINDOW: usize = 8;
+
 /// The Pagurus inter-function container-sharing policy.
 #[derive(Debug, Clone)]
 pub struct Pagurus {
-    /// Private keep-alive phase before re-packing.
-    pub private_ttl: Micros,
-    /// Shared (zygote) keep-alive phase before termination.
-    pub shared_ttl: Micros,
-    /// Maximum number of helper candidates packed into a zygote.
-    pub pack_limit: usize,
-    /// Recent arrival timestamps per function (for candidate ranking).
+    /// The last [`RECENT_WINDOW`] arrival timestamps per function (for
+    /// candidate ranking).
     recent: Vec<Vec<Instant>>,
-    window: usize,
 }
 
 impl Pagurus {
@@ -36,11 +42,7 @@ impl Pagurus {
     /// candidates).
     pub fn new(n_functions: usize) -> Self {
         Pagurus {
-            private_ttl: Micros::from_mins(2),
-            shared_ttl: Micros::from_mins(8),
-            pack_limit: 3,
             recent: vec![Vec::new(); n_functions],
-            window: 8,
         }
     }
 
@@ -74,7 +76,7 @@ impl Pagurus {
         });
         scored
             .into_iter()
-            .take(self.pack_limit)
+            .take(PACK_LIMIT)
             .map(|(f, _)| f)
             .collect()
     }
@@ -87,7 +89,7 @@ impl Policy for Pagurus {
 
     fn on_arrival(&mut self, ctx: &PolicyCtx<'_>, f: FunctionId) -> ArrivalResponse {
         let w = &mut self.recent[f.index()];
-        if w.len() == self.window {
+        if w.len() == RECENT_WINDOW {
             w.remove(0);
         }
         w.push(ctx.now);
@@ -98,7 +100,7 @@ impl Policy for Pagurus {
     // and SharedPacked to packed candidates — exactly Pagurus semantics.
 
     fn on_idle(&mut self, _: &PolicyCtx<'_>, _: &ContainerView) -> Micros {
-        self.private_ttl
+        PRIVATE_TTL
     }
 
     fn on_timeout(&mut self, ctx: &PolicyCtx<'_>, c: &ContainerView) -> TimeoutDecision {
@@ -115,7 +117,7 @@ impl Policy for Pagurus {
         }
         TimeoutDecision::Repack {
             extra_functions: candidates,
-            ttl: self.shared_ttl,
+            ttl: SHARED_TTL,
         }
     }
 
@@ -252,17 +254,25 @@ mod tests {
 
     #[test]
     fn pack_limit_is_respected() {
-        let c = catalog();
-        let mut p = Pagurus::new(4);
-        p.pack_limit = 1;
-        train(&mut p, &c, 1, 10, 6);
-        train(&mut p, &c, 2, 10, 6);
+        // The owner plus more active same-language candidates than a
+        // zygote may pack.
+        let mut c = Catalog::new();
+        for _ in 0..=PACK_LIMIT + 1 {
+            c.push(FunctionProfile::synthetic(
+                FunctionId::new(0),
+                Language::Python,
+            ));
+        }
+        let mut p = Pagurus::new(c.len());
+        for f in 1..=PACK_LIMIT as u32 + 1 {
+            train(&mut p, &c, f, 10, 6);
+        }
         let cx = ctx(&c, 300);
         match p.on_timeout(&cx, &view(0, Vec::new())) {
             TimeoutDecision::Repack {
                 extra_functions, ..
             } => {
-                assert_eq!(extra_functions.len(), 1);
+                assert_eq!(extra_functions.len(), PACK_LIMIT);
             }
             other => panic!("expected repack, got {other:?}"),
         }

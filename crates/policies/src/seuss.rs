@@ -23,32 +23,24 @@ use rainbowcake_core::policy::{
 use rainbowcake_core::time::Micros;
 use rainbowcake_core::types::{ContainerId, FunctionId, Layer};
 
+/// How long a fully specialized (`User`) container is kept: briefly,
+/// since SEUSS does not keep specialized state warm — repeat invocations
+/// normally pay the partial snapshot-fork path, which is why its warm
+/// starts are "partial" in Fig. 3.
+const USER_TTL: Micros = Micros::from_mins(3);
+
+/// How long a language-snapshot (`Lang`) container is kept.
+const LANG_TTL: Micros = Micros::from_mins(30);
+
 /// SEUSS-style partial caching with fixed per-level windows.
-#[derive(Debug, Clone)]
-pub struct Seuss {
-    /// How long a fully specialized container is kept.
-    pub user_ttl: Micros,
-    /// How long a language-snapshot (`Lang`) container is kept.
-    pub lang_ttl: Micros,
-}
+#[derive(Debug, Clone, Default)]
+pub struct Seuss;
 
 impl Seuss {
-    /// Creates the policy with its standard windows: a 3-minute window
-    /// at `User` (SEUSS does not keep specialized state warm — repeat
-    /// invocations normally pay the partial snapshot-fork path, which is
-    /// why its warm starts are "partial" in Fig. 3), 30 minutes at the
-    /// snapshot level.
+    /// Creates the policy with its standard windows: 3 minutes at
+    /// `User`, 30 minutes at the snapshot level.
     pub fn new() -> Self {
-        Seuss {
-            user_ttl: Micros::from_mins(3),
-            lang_ttl: Micros::from_mins(30),
-        }
-    }
-}
-
-impl Default for Seuss {
-    fn default() -> Self {
-        Seuss::new()
+        Seuss
     }
 }
 
@@ -91,8 +83,8 @@ impl Policy for Seuss {
 
     fn on_idle(&mut self, _: &PolicyCtx<'_>, c: &ContainerView) -> Micros {
         match c.layer {
-            Layer::User => self.user_ttl,
-            Layer::Lang => self.lang_ttl,
+            Layer::User => USER_TTL,
+            Layer::Lang => LANG_TTL,
             Layer::Bare => Micros::from_mins(1),
         }
     }
@@ -100,7 +92,7 @@ impl Policy for Seuss {
     fn on_timeout(&mut self, _: &PolicyCtx<'_>, c: &ContainerView) -> TimeoutDecision {
         match c.layer {
             // Fall back to the snapshot level instead of dying.
-            Layer::User => TimeoutDecision::Downgrade { ttl: self.lang_ttl },
+            Layer::User => TimeoutDecision::Downgrade { ttl: LANG_TTL },
             _ => TimeoutDecision::Terminate,
         }
     }

@@ -79,7 +79,7 @@ impl WorkerView {
     /// Whether any same-language function ran here within `window` (the
     /// sharing signal: a `Lang` container is likely available).
     pub fn lang_warm(&self, language: Language, now: Instant, window: Micros) -> bool {
-        self.last_lang[lang_idx(language)]
+        self.last_lang[language.index()]
             .map(|t| now.duration_since(t) <= window)
             .unwrap_or(false)
     }
@@ -94,20 +94,12 @@ impl WorkerView {
 
     fn record(&mut self, f: FunctionId, language: Language, now: Instant) {
         self.last_run[f.index()] = Some(now);
-        self.last_lang[lang_idx(language)] = Some(now);
+        self.last_lang[language.index()] = Some(now);
         let cutoff = now - Micros::from_mins(1);
         while self.recent.front().is_some_and(|&t| t < cutoff) {
             self.recent.pop_front();
         }
         self.recent.push_back(now);
-    }
-}
-
-fn lang_idx(language: Language) -> usize {
-    match language {
-        Language::NodeJs => 0,
-        Language::Python => 1,
-        Language::Java => 2,
     }
 }
 
@@ -183,28 +175,22 @@ impl Router for LeastLoaded {
     }
 }
 
+/// How long after a run [`LocalitySharingLoad`] presumes a node warm for
+/// the function.
+const WARM_WINDOW: Micros = Micros::from_mins(5);
+
+/// How long after a run [`LocalitySharingLoad`] presumes a node holds a
+/// Lang layer of the function's language.
+const LANG_WINDOW: Micros = Micros::from_mins(15);
+
+/// How many more recent arrivals than the least-loaded node a warm node
+/// may have and still win on warmth.
+const LOAD_SLACK: usize = 12;
+
 /// The §8 scheduler: Locality first, then Sharing, then Load — with a
 /// load cap so a hot node is not overloaded just because it is warm.
-#[derive(Debug)]
-pub struct LocalitySharingLoad {
-    /// How long after a run a node is presumed warm for the function.
-    pub warm_window: Micros,
-    /// How long after a run a node is presumed to hold a Lang layer.
-    pub lang_window: Micros,
-    /// Maximum load multiple (vs the least-loaded node) a warm node may
-    /// have and still win on warmth.
-    pub load_slack: usize,
-}
-
-impl Default for LocalitySharingLoad {
-    fn default() -> Self {
-        LocalitySharingLoad {
-            warm_window: Micros::from_mins(5),
-            lang_window: Micros::from_mins(15),
-            load_slack: 12,
-        }
-    }
-}
+#[derive(Debug, Default)]
+pub struct LocalitySharingLoad;
 
 impl Router for LocalitySharingLoad {
     fn name(&self) -> &'static str {
@@ -223,12 +209,12 @@ impl Router for LocalitySharingLoad {
             .map(|v| v.load(now))
             .min()
             .expect("views is non-empty");
-        let cap = min_load + self.load_slack;
+        let cap = min_load + LOAD_SLACK;
         // 1) Locality.
         if let Some((i, _)) = views
             .iter()
             .enumerate()
-            .filter(|(_, v)| v.warm_for(f, now, self.warm_window) && v.load(now) <= cap)
+            .filter(|(_, v)| v.warm_for(f, now, WARM_WINDOW) && v.load(now) <= cap)
             .min_by_key(|(i, v)| (v.load(now), *i))
         {
             return i;
@@ -237,7 +223,7 @@ impl Router for LocalitySharingLoad {
         if let Some((i, _)) = views
             .iter()
             .enumerate()
-            .filter(|(_, v)| v.lang_warm(language, now, self.lang_window) && v.load(now) <= cap)
+            .filter(|(_, v)| v.lang_warm(language, now, LANG_WINDOW) && v.load(now) <= cap)
             .min_by_key(|(i, v)| (v.load(now), *i))
         {
             return i;
@@ -711,14 +697,12 @@ mod tests {
     fn locality_router_concentrates_functions() {
         // A fixed 10-minute keep-alive stays warm at 5-minute gaps only
         // if each function's stream lands on one node; blind rotation
-        // over 4 workers stretches per-node gaps to 20 minutes.
+        // over 4 workers stretches per-node gaps to 20 minutes. The
+        // router's 5-minute warm window still covers a 5-minute gap.
         let c = catalog();
         let t = sparse_trace(&c);
         let mut ow_factory = || Box::new(FixedKeepAlive) as Box<dyn Policy>;
-        let mut router = LocalitySharingLoad {
-            warm_window: Micros::from_mins(10),
-            ..LocalitySharingLoad::default()
-        };
+        let mut router = LocalitySharingLoad;
         let report = run_cluster(
             &c,
             &mut ow_factory,
@@ -798,14 +782,7 @@ mod tests {
                     ..SimConfig::deterministic(1)
                 };
                 let mut fac = policy_factory(&c);
-                let seq = run_cluster(
-                    &c,
-                    &mut fac,
-                    &t,
-                    shards,
-                    &config,
-                    &mut LocalitySharingLoad::default(),
-                );
+                let seq = run_cluster(&c, &mut fac, &t, shards, &config, &mut LocalitySharingLoad);
                 let sharded = run_cluster_streaming(
                     &c,
                     &factory,
@@ -813,7 +790,7 @@ mod tests {
                     t.horizon(),
                     shards,
                     &config,
-                    &mut LocalitySharingLoad::default(),
+                    &mut LocalitySharingLoad,
                 );
                 assert_eq!(sharded.report.assigned, seq.assigned, "{shards} shards");
                 assert_eq!(

@@ -224,9 +224,9 @@ impl Container {
 
     /// Applies one ladder downgrade **without** bumping the epoch: the
     /// epoch marks the idle period, which a settled rung does not end,
-    /// so the settlement entry pushed for the next rung (and, under the
-    /// eager test oracle, its rung timer) carries the same epoch, and
-    /// the reuse that ends the period invalidates them all at once.
+    /// so the settlement entry pushed for the next rung carries the same
+    /// epoch, and the reuse that ends the period invalidates them all at
+    /// once.
     /// The caller advances `ladder`, `idle_since`, and the memory
     /// footprint.
     ///

@@ -31,7 +31,10 @@ use rainbowcake_trace::samplers::{lognormal_from_params, lognormal_params};
 use rainbowcake_trace::Arrival;
 
 use crate::concurrency::transition_overhead;
-use crate::config::SimConfig;
+use crate::config::{
+    SimConfig, CHECKPOINT_IMAGE_OVERHEAD, CHECKPOINT_RESTORE_FACTOR, PACKED_SPECIALIZE,
+    SNAPSHOT_RESTORE_FRAC,
+};
 use crate::container::{AssignedInvocation, Container, LadderState};
 use crate::event::{Event, EventKind, EventQueue, QueueStats};
 use crate::pool::Pool;
@@ -84,10 +87,7 @@ enum Placement {
 /// # Panics
 ///
 /// Panics if an arrival's time is earlier than the arrival before it
-/// (within the horizon): the stream must be time-sorted. Panics if
-/// `config` fails [`SimConfig::validate`]: a NaN, infinite or negative
-/// contention coefficient or checkpoint factor, a transition jitter
-/// outside `[0, 1)`, or a snapshot restore fraction outside `[0, 1]`.
+/// (within the horizon): the stream must be time-sorted.
 pub fn run(
     catalog: &Catalog,
     policy: &mut dyn Policy,
@@ -100,8 +100,9 @@ pub fn run(
 }
 
 /// [`run`] on the eager per-rung ladder timer chain: every rung boundary
-/// gets its own `IdleTimeout`, re-armed as each fires. It is the oracle
-/// the lazy, timer-free ladder schedule must match byte for byte.
+/// gets its own `LadderWake`, armed as the rung before it settles. It is
+/// the oracle the lazy, timer-free ladder schedule must match byte for
+/// byte.
 #[cfg(test)]
 pub(crate) fn run_eager(
     catalog: &Catalog,
@@ -233,9 +234,6 @@ impl<'a> Engine<'a> {
         config: &'a SimConfig,
         horizon: Micros,
     ) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("{e}");
-        }
         let mut anchor_by_lang: [Option<&'a FunctionProfile>; 3] = [None; 3];
         for p in catalog.iter() {
             let slot = &mut anchor_by_lang[p.language.index()];
@@ -434,7 +432,7 @@ impl<'a> Engine<'a> {
         }
         // Checkpoint extension (§7.8): cached checkpoint images are
         // resident from a function's first invocation onward.
-        if let Some(cp) = self.config.checkpoint {
+        if self.config.checkpoint {
             for (i, first) in std::mem::take(&mut self.first_arrival)
                 .into_iter()
                 .enumerate()
@@ -442,7 +440,8 @@ impl<'a> Engine<'a> {
                 if let Some(first) = first {
                     let profile = self.catalog.profile(FunctionId::new(i as u32));
                     let image = MemMb::new(
-                        (profile.memory_at(Layer::User).as_mb() as f64 * cp.image_overhead) as u64,
+                        (profile.memory_at(Layer::User).as_mb() as f64 * CHECKPOINT_IMAGE_OVERHEAD)
+                            as u64,
                     );
                     self.record_waste(image, first, horizon, IdleOutcome::Miss);
                 }
@@ -466,8 +465,7 @@ impl<'a> Engine<'a> {
         transition_overhead(
             base,
             self.pool.initializing_count(),
-            self.config.contention_coeff,
-            self.config.transition_jitter,
+            self.config.jitter,
             &mut self.rng,
         )
     }
@@ -475,10 +473,11 @@ impl<'a> Engine<'a> {
     /// Install-latency scale factor: checkpoint restore replaces
     /// from-scratch initialization on the cold path (§7.8).
     fn cold_install_factor(&self) -> f64 {
-        self.config
-            .checkpoint
-            .map(|c| c.restore_factor)
-            .unwrap_or(1.0)
+        if self.config.checkpoint {
+            CHECKPOINT_RESTORE_FACTOR
+        } else {
+            1.0
+        }
     }
 
     fn startup_cold(&mut self, p: &FunctionProfile) -> Micros {
@@ -493,12 +492,9 @@ impl<'a> Engine<'a> {
         match class {
             ReuseClass::WarmUser => self.contended(p.transitions.u_run),
             ReuseClass::SnapshotUser => {
-                self.contended(p.transitions.u_run)
-                    + p.stages.user.mul_f64(self.config.snapshot_restore_frac)
+                self.contended(p.transitions.u_run) + p.stages.user.mul_f64(SNAPSHOT_RESTORE_FRAC)
             }
-            ReuseClass::SharedPacked => {
-                self.contended(p.transitions.u_run) + self.config.packed_specialize
-            }
+            ReuseClass::SharedPacked => self.contended(p.transitions.u_run) + PACKED_SPECIALIZE,
             ReuseClass::SharedLang => {
                 self.contended(p.transitions.l_u)
                     + p.stages.user
@@ -530,7 +526,7 @@ impl<'a> Engine<'a> {
 
     fn sample_exec(&mut self, p: &FunctionProfile) -> Micros {
         match self.exec_params[p.id.index()] {
-            Some((mu, sigma)) if self.config.exec_jitter => {
+            Some((mu, sigma)) if self.config.jitter => {
                 Micros::from_secs_f64(lognormal_from_params(&mut self.rng, mu, sigma))
             }
             _ => p.exec.mean,
@@ -970,9 +966,9 @@ impl<'a> Engine<'a> {
     // moment the clock next moves, before any handler can observe the
     // pool; a LadderWake covers boundaries while work is queued, and
     // `finish` settles the rest. The test-only eager oracle (`run_eager`)
-    // pushes one IdleTimeout per rung instead and settles from the same
-    // heap, so both execute identical settlement sequences; they differ
-    // only in event multiplicity.
+    // pushes one LadderWake per rung boundary instead and settles from
+    // the same heap, so both execute identical settlement sequences; they
+    // differ only in event multiplicity.
     // ------------------------------------------------------------------
 
     /// Whether a settlement-heap entry still describes the container's
@@ -1068,8 +1064,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Registers the container's current-rung boundary in the
-    /// settlement heap (and, under the eager oracle, as a per-rung timer
-    /// event). A never-expiring rung parks the container: no entry.
+    /// settlement heap (and, under the eager oracle, as a per-rung
+    /// `LadderWake`). A never-expiring rung parks the container: no
+    /// entry.
     fn push_boundary(&mut self, id: ContainerId) {
         let c = self.pool.get(id).expect("container exists");
         let epoch = c.epoch;
@@ -1079,13 +1076,7 @@ impl<'a> Engine<'a> {
             self.settle_seq += 1;
             self.settle.push(Reverse((b, seq, id, epoch)));
             if self.eager_chain() {
-                self.events.push_ladder(
-                    b,
-                    EventKind::IdleTimeout {
-                        container: id,
-                        epoch,
-                    },
-                );
+                self.events.push_ladder(b, EventKind::LadderWake);
             }
         }
     }
@@ -1094,7 +1085,7 @@ impl<'a> Engine<'a> {
     /// `idle_since` and its first boundary enters the settlement heap.
     /// No timer is armed: tick-start settlement, a `LadderWake` while
     /// work is queued, and `finish` settle every boundary, the last
-    /// rung's death included (the eager oracle arms per-rung timers via
+    /// rung's death included (the eager oracle arms per-rung wakes via
     /// [`Self::push_boundary`] instead).
     fn install_ladder(&mut self, id: ContainerId, ladder: TtlLadder) {
         {
@@ -1113,8 +1104,12 @@ impl<'a> Engine<'a> {
     /// this wake *is* the boundary) and re-admit queued work into any
     /// freed memory. The drain is gated on an actual settlement so the
     /// lazy schedule drains at exactly the eager oracle's ticks (a stale
-    /// wake, like a stale eager rung timer, must not touch the admission
-    /// queue or the RNG stream).
+    /// wake must not touch the admission queue or the RNG stream).
+    ///
+    /// Under the eager oracle every live boundary at this tick has its
+    /// own wake in the same batch's ladder-band tail, so whichever wake
+    /// comes first — stale or not — settles them all and the rest find
+    /// nothing: the state after the batch is the same.
     fn handle_ladder_wake(&mut self) {
         self.wake_armed = None;
         if self.settle_due(self.now, true) > 0 {
@@ -1250,22 +1245,11 @@ impl<'a> Engine<'a> {
     }
 
     fn handle_idle_timeout(&mut self, id: ContainerId, epoch: u64) {
-        let on_ladder = match self.pool.get(id) {
-            Some(c) if c.epoch == epoch && c.is_idle() => c.ladder.is_some(),
-            _ => return, // stale (container reused, repurposed, or gone)
-        };
-        if on_ladder {
-            // An eager rung timer: production arms no ladder timer, so
-            // only the test-only oracle gets here. Every boundary at or
-            // before now settles; the policy is not consulted (the
-            // schedule was fixed at idle time). Drain gating mirrors
-            // `handle_ladder_wake`.
-            debug_assert!(self.eager_chain(), "a ladder container got a timer");
-            if self.settle_due(self.now, true) > 0 {
-                self.drain_pending();
+        match self.pool.get(id) {
+            Some(c) if c.epoch == epoch && c.is_idle() => {
+                debug_assert!(c.ladder.is_none(), "a ladder container got a timer");
             }
-            self.arm_pending_wake();
-            return;
+            _ => return, // stale (container reused, repurposed, or gone)
         }
         let view = self.pool.view_of(id);
         let ctx = self.ctx();
@@ -1424,8 +1408,6 @@ mod tests {
     use rainbowcake_core::rainbow::RainbowCake;
     use rainbowcake_core::types::Language;
     use rainbowcake_trace::Trace;
-
-    use crate::config::CheckpointConfig;
 
     /// A configurable test policy: fixed TTL, optional layer sharing,
     /// optional pre-warming.
@@ -1726,7 +1708,7 @@ mod tests {
         // Short TTL: both invocations are cold.
         let mut p1 = TestPolicy::keepalive(Micros::from_secs(1));
         let base = run_trace(&cat, &mut p1, &trace, &cfg);
-        cfg.checkpoint = Some(CheckpointConfig::default());
+        cfg.checkpoint = true;
         let mut p2 = TestPolicy::keepalive(Micros::from_secs(1));
         let cp = run_trace(&cat, &mut p2, &trace, &cfg);
         assert!(cp.total_startup() < base.total_startup());
@@ -1840,9 +1822,9 @@ mod tests {
     #[test]
     fn lazy_timers_dispatch_fewer_events() {
         let cat = catalog();
-        // Several full idle periods: eager walks 3 rung timers per
+        // Several full idle periods: eager walks 3 rung wakes per
         // period, lazy arms no timer and pays only tick-start (and
-        // `finish`) settlement.
+        // `finish`) settlement. Neither path times a ladder container.
         let trace = trace_of(&[(0, 0), (100, 0), (200, 1), (300, 0)], 500);
         let run_mode = |eager| {
             let mut p = LadderPolicy::new(Micros::from_secs(10));
@@ -1887,7 +1869,14 @@ mod tests {
             epoch: 0,
         });
         assert_eq!(lazy.counts[timeout], 0, "a ladder container got a timer");
-        assert!(eager.counts[timeout] > 0);
+        assert_eq!(eager.counts[timeout], 0, "a ladder container got a timer");
+        let wake = kind_rank(&EventKind::LadderWake);
+        assert!(
+            eager.counts[wake] > lazy.counts[wake],
+            "eager wakes {} !> lazy wakes {}",
+            eager.counts[wake],
+            lazy.counts[wake]
+        );
     }
 
     /// Runs `p` on arrivals at the given microsecond timestamps (all of
@@ -1994,95 +1983,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "contention_coeff must be finite and non-negative, got NaN")]
-    fn nan_contention_coeff_is_rejected() {
-        run_with_config(&SimConfig {
-            contention_coeff: f64::NAN,
-            ..config()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "contention_coeff must be finite and non-negative, got -1")]
-    fn negative_contention_coeff_is_rejected() {
-        run_with_config(&SimConfig {
-            contention_coeff: -1.0,
-            ..config()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "transition_jitter must be in [0, 1), got -5")]
-    fn negative_transition_jitter_is_rejected() {
-        run_with_config(&SimConfig {
-            transition_jitter: -5.0,
-            ..config()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "transition_jitter must be in [0, 1), got 1")]
-    fn transition_jitter_of_one_is_rejected() {
-        run_with_config(&SimConfig {
-            transition_jitter: 1.0,
-            ..config()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "snapshot_restore_frac must be in [0, 1], got 1.5")]
-    fn snapshot_restore_frac_above_one_is_rejected() {
-        run_with_config(&SimConfig {
-            snapshot_restore_frac: 1.5,
-            ..config()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpoint.restore_factor must be finite and non-negative")]
-    fn negative_checkpoint_restore_factor_is_rejected() {
-        run_with_config(&SimConfig {
-            checkpoint: Some(CheckpointConfig {
-                restore_factor: -0.5,
-                ..CheckpointConfig::default()
-            }),
-            ..config()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpoint.image_overhead must be finite and non-negative")]
-    fn infinite_checkpoint_image_overhead_is_rejected() {
-        run_with_config(&SimConfig {
-            checkpoint: Some(CheckpointConfig {
-                image_overhead: f64::INFINITY,
-                ..CheckpointConfig::default()
-            }),
-            ..config()
-        });
-    }
-
-    #[test]
-    fn default_and_experiment_configs_are_accepted() {
-        // `fig13` runs `SimConfig::default()`; the other builders, the
-        // checkpoint extension and the boundary values run too.
+    fn builder_and_checkpoint_configs_complete_every_invocation() {
+        // `fig13` runs `SimConfig::default()`; the other builders and the
+        // checkpoint extension run too.
         for config in [
             SimConfig::default(),
             SimConfig::deterministic(3),
             SimConfig::with_memory(MemMb::new(512)),
             SimConfig {
-                checkpoint: Some(CheckpointConfig::default()),
-                ..SimConfig::default()
-            },
-            SimConfig {
-                contention_coeff: 0.0,
-                transition_jitter: 0.0,
-                snapshot_restore_frac: 1.0,
+                checkpoint: true,
                 ..SimConfig::default()
             },
         ] {
             assert_eq!(run_with_config(&config).records.len(), 3);
         }
+    }
+
+    #[test]
+    fn seed_matters_only_through_jitter() {
+        // The engine draws from its RNG only for execution and
+        // transition jitter, so without jitter the seed cannot move a
+        // byte; with it, a catalog whose execution times vary (CV > 0)
+        // must.
+        let cat = catalog();
+        assert!(cat.iter().all(|p| p.exec.cv > 0.0));
+        let trace = trace_of(&[(0, 0), (30, 0), (90, 1), (95, 0), (200, 1)], 300);
+        let json = |config: SimConfig| {
+            let mut p = TestPolicy::keepalive(Micros::from_mins(1));
+            run_trace(&cat, &mut p, &trace, &config).to_json()
+        };
+        assert_eq!(
+            json(SimConfig::deterministic(1)),
+            json(SimConfig::deterministic(2))
+        );
+        let jittered = |seed| SimConfig {
+            seed,
+            ..SimConfig::default()
+        };
+        assert_ne!(json(jittered(1)), json(jittered(2)));
     }
 
     #[test]

@@ -351,9 +351,9 @@ impl Wheel {
 }
 
 /// First sequence number of the ladder band: [`EventKind::LadderWake`]
-/// wakes and the test-only eager rung timers sort *after* every runtime
-/// event sharing their tick (events the engine schedules while running
-/// draw seqs from 0 up). A ladder boundary at instant `b` therefore
+/// wakes, the test-only eager oracle's rung timers included, sort
+/// *after* every runtime event sharing their tick (events the engine
+/// schedules while running draw seqs from 0 up). A ladder boundary at instant `b` therefore
 /// becomes visible strictly after all the tick-`b` work that was
 /// scheduled before it — the same within-tick position the eager
 /// downgrade chain gives its re-armed timers — so the lazy schedule and
@@ -436,8 +436,8 @@ impl EventQueue {
     /// Schedules `kind` at `time` in the high (ladder) sequence band:
     /// at any tick, ladder events sort after every runtime event
     /// regardless of when they were pushed (see `LADDER_SEQ_BASE`).
-    /// Used for [`EventKind::LadderWake`] and the test-only eager
-    /// oracle's rung timers.
+    /// Used for [`EventKind::LadderWake`], which the test-only eager
+    /// oracle also pushes once per rung boundary.
     pub fn push_ladder(&mut self, time: Instant, kind: EventKind) {
         let seq = self.next_ladder_seq;
         self.next_ladder_seq += 1;
@@ -1006,8 +1006,8 @@ mod tests {
 
     #[test]
     fn rearm_needs_an_older_epoch_of_the_same_container() {
-        // Same-epoch timers (the eager ladder's rung chain) and other
-        // containers' timers are never overwritten.
+        // A timer of the same epoch and other containers' timers are
+        // never overwritten.
         let (a, b) = (ContainerId::from_parts(1, 0), ContainerId::from_parts(1, 1));
         let mut q = EventQueue::new();
         for (time, container, epoch) in [(10, a, 0), (20, a, 0), (30, b, 0), (40, a, 1)] {

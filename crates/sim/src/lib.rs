@@ -50,5 +50,5 @@ pub mod event;
 pub mod pool;
 pub mod tiered;
 
-pub use config::{CheckpointConfig, SimConfig};
+pub use config::SimConfig;
 pub use engine::{run, EngineProfile};

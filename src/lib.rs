@@ -62,7 +62,7 @@ pub mod prelude {
     pub use rainbowcake_core::types::{FunctionId, Language, Layer};
     pub use rainbowcake_metrics::{RunReport, StartType};
     pub use rainbowcake_policies::{FaasCache, Histogram, OpenWhiskDefault, Pagurus, Seuss};
-    pub use rainbowcake_sim::{run, CheckpointConfig, SimConfig};
+    pub use rainbowcake_sim::{run, SimConfig};
     pub use rainbowcake_trace::azure::{azure_like_trace, AzureConfig};
     pub use rainbowcake_trace::cv::{cv_trace, CvTraceConfig};
     pub use rainbowcake_trace::{Arrival, Trace};

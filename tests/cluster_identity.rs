@@ -22,7 +22,7 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The sequential materialized reference for `name` on `bed`.
 fn sequential(bed: &Testbed, name: &str, shards: usize) -> ClusterReport {
-    let mut router = LocalitySharingLoad::default();
+    let mut router = LocalitySharingLoad;
     let mut factory = || -> Box<dyn Policy> { make_policy(name, &bed.catalog) };
     run_cluster(
         &bed.catalog,
@@ -36,7 +36,7 @@ fn sequential(bed: &Testbed, name: &str, shards: usize) -> ClusterReport {
 
 /// The sharded streaming pipeline for `name` on `bed`.
 fn streamed(bed: &Testbed, name: &str, shards: usize) -> ClusterReport {
-    let mut router = LocalitySharingLoad::default();
+    let mut router = LocalitySharingLoad;
     let factory = || -> Box<dyn Policy> { make_policy(name, &bed.catalog) };
     run_cluster_streaming(
         &bed.catalog,

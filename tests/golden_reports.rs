@@ -42,7 +42,7 @@ fn reports_match_golden_digests() {
             bed.trace.horizon(),
             shards,
             &bed.config,
-            &mut LocalitySharingLoad::default(),
+            &mut LocalitySharingLoad,
         )
         .report;
         lines.push(format!(

@@ -221,7 +221,7 @@ fn checkpointing_trades_memory_for_startup() {
     let mut base_policy = RainbowCake::with_defaults(&catalog).unwrap();
     let base = run_trace(&catalog, &mut base_policy, &trace, &config);
     let cp_config = SimConfig {
-        checkpoint: Some(CheckpointConfig::default()),
+        checkpoint: true,
         ..config
     };
     let mut cp_policy = RainbowCake::with_defaults(&catalog).unwrap();

@@ -557,14 +557,14 @@ proptest! {
             ..SimConfig::default()
         };
         for shards in [1usize, 2, 4, 8] {
-            let mut router = LocalitySharingLoad::default();
+            let mut router = LocalitySharingLoad;
             let mut factory = || -> Box<dyn Policy> {
                 Box::new(RainbowCake::with_defaults(&catalog).unwrap())
             };
             let sequential =
                 run_cluster(&catalog, &mut factory, &trace, shards, &config, &mut router)
                     .to_json();
-            let mut router = LocalitySharingLoad::default();
+            let mut router = LocalitySharingLoad;
             let factory = || -> Box<dyn Policy> {
                 Box::new(RainbowCake::with_defaults(&catalog).unwrap())
             };
