@@ -8,8 +8,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Micros;
 
 /// A memory size in whole megabytes.
@@ -21,9 +19,7 @@ use crate::time::Micros;
 /// assert_eq!(total.as_mb(), 192);
 /// assert_eq!(MemMb::new(2048).as_gb_f64(), 2.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MemMb(u64);
 
 impl MemMb {
@@ -120,7 +116,7 @@ impl fmt::Display for MemMb {
 ///
 /// This is an accumulator, not a size: it is produced by
 /// [`MemMb::idle_for`] and summed over idle intervals.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct GbSeconds(f64);
 
 impl GbSeconds {

@@ -18,16 +18,12 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A span of simulated time, stored as whole microseconds.
 ///
 /// `Micros` is the only duration type used across the workspace; layer
 /// install latencies, TTLs, inter-arrival times, and execution times are
 /// all expressed with it.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Micros(u64);
 
 impl Micros {
@@ -208,9 +204,7 @@ impl fmt::Display for Micros {
 ///
 /// Instants are totally ordered and only support arithmetic with
 /// [`Micros`]; adding two instants is (intentionally) not expressible.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Instant(u64);
 
 impl Instant {

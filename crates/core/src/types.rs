@@ -2,11 +2,9 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a deployed serverless function (a code package; §1 of the
 /// paper). Invocations of the same function share a `FunctionId`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FunctionId(u32);
 
 impl FunctionId {
@@ -36,7 +34,7 @@ impl fmt::Display for FunctionId {
 /// bits — the derived `Ord` is exactly creation order, which every
 /// ordered index and deterministic iteration in the simulator relies
 /// on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ContainerId(u64);
 
 impl ContainerId {
@@ -74,7 +72,7 @@ impl fmt::Display for ContainerId {
 }
 
 /// Language runtimes used by the paper's 20-function workload (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Language {
     /// Node.js runtime.
     NodeJs,
@@ -121,7 +119,7 @@ impl fmt::Display for Language {
 }
 
 /// Application domains from Table 1 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Domain {
     /// Web applications (Auto Complete, Uploader, ...).
     WebApp,
@@ -152,7 +150,7 @@ impl fmt::Display for Domain {
 ///
 /// The derived `Ord` follows the stack order: `Bare < Lang < User`, i.e.
 /// a later variant has strictly more layers installed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Layer {
     /// Infrastructure only (network, logging, proxy); compatible with
     /// any function.

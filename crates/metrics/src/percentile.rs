@@ -2,8 +2,6 @@
 //! fixed-size streaming estimator ([`LogHistogram`]) for runs too large
 //! to keep every sample.
 
-use serde::{Deserialize, Serialize};
-
 /// Exact percentile (nearest-rank with linear interpolation) of an
 /// unsorted slice. `p` is in `[0, 100]`. Returns `None` for an empty
 /// slice.
@@ -67,7 +65,7 @@ const HIST_BINS: usize = 1400;
 /// memory is constant in the number of samples and percentile queries
 /// have bounded relative error. Exact minimum and maximum are tracked
 /// on the side, and estimates are clamped into `[min, max]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogHistogram {
     bins: Vec<u64>,
     count: u64,

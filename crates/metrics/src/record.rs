@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use rainbowcake_core::time::{Instant, Micros};
 use rainbowcake_core::types::FunctionId;
 
@@ -11,7 +9,7 @@ use rainbowcake_core::types::FunctionId;
 /// paper's Fig. 10 (`Load` there corresponds to [`StartType::Attached`]:
 /// the invocation latched onto a container whose initialization was
 /// already in flight).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StartType {
     /// Full warm start from an idle `User` container of the function.
     WarmUser,
@@ -68,7 +66,7 @@ impl fmt::Display for StartType {
 }
 
 /// The measured life of one invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvocationRecord {
     /// Function invoked.
     pub function: FunctionId,

@@ -4,8 +4,6 @@
 //! (Figs. 3, 8), startup-type timelines (Fig. 10), and the unified cost
 //! (Fig. 11).
 
-use serde::{Deserialize, Serialize};
-
 use rainbowcake_core::cost::CostModel;
 use rainbowcake_core::mem::GbSeconds;
 use rainbowcake_core::time::Micros;
@@ -19,7 +17,7 @@ use crate::waste::WasteTracker;
 /// latency totals, plus [`LogHistogram`] percentile estimators. Used in
 /// place of the per-record vector for traces too large to hold (the
 /// `stress` bench's million-invocation runs).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StreamingSummary {
     /// Completed invocations.
     pub count: usize,
@@ -87,7 +85,7 @@ impl StreamingSummary {
 
 /// Collects measurements during a run; turned into a [`RunReport`] at
 /// the end.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsCollector {
     records: Vec<InvocationRecord>,
     waste: WasteTracker,
@@ -149,7 +147,7 @@ impl MetricsCollector {
 }
 
 /// Per-function aggregate row (Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FunctionSummary {
     /// The function.
     pub function: FunctionId,
@@ -170,7 +168,7 @@ pub struct FunctionSummary {
 /// aggregate accessors below consult whichever is present. Per-record
 /// views (`per_function`, the timelines) are only available on exact
 /// reports and come back empty on streaming ones.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Policy that produced the run.
     pub policy: String,

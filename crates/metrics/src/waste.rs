@@ -7,13 +7,11 @@
 //! eviction — red). [`WasteTracker`] integrates exactly and buckets the
 //! waste per minute for timeline plots.
 
-use serde::{Deserialize, Serialize};
-
 use rainbowcake_core::mem::{GbSeconds, MemMb};
 use rainbowcake_core::time::Instant;
 
 /// How an idle interval ended, deciding its Fig. 8 color.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdleOutcome {
     /// The container was reused by an invocation: the kept memory paid
     /// off ("wasted but eventually hit").
@@ -24,7 +22,7 @@ pub enum IdleOutcome {
 }
 
 /// Exact integrator of idle memory waste with per-minute buckets.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WasteTracker {
     hit_total: GbSeconds,
     miss_total: GbSeconds,

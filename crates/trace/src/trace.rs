@@ -1,15 +1,13 @@
 //! The invocation trace container: a time-sorted stream of
 //! `(instant, function)` arrivals over a fixed horizon.
 
-use serde::{Deserialize, Serialize};
-
 use rainbowcake_core::time::{Instant, Micros};
 use rainbowcake_core::types::FunctionId;
 
 use crate::stats;
 
 /// One invocation arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrival {
     /// Arrival time.
     pub time: Instant,
@@ -36,7 +34,7 @@ pub struct Arrival {
 /// // Arrivals are kept sorted regardless of input order.
 /// assert!(trace.arrivals()[0].time <= trace.arrivals()[1].time);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     horizon: Micros,
     arrivals: Vec<Arrival>,
