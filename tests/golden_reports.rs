@@ -3,6 +3,9 @@
 //!
 //! * `suite <policy>` — `Testbed::paper_8h`, every §7.1 policy, run
 //!   sequentially through the engine;
+//! * `pressure <policy>` — the `suite` runs in a 2 GB pool with streaming
+//!   metrics, so placements fall through to eviction and the admission
+//!   queue, and the streaming histograms are pinned too;
 //! * `cluster RainbowCake <shards>` — `Testbed::paper_hours(2)` through
 //!   the sharded streaming cluster at 1/2/4/8 shards.
 //!
@@ -10,8 +13,10 @@
 //! simulated semantics shows up as a reviewed diff of the fixture: on a
 //! mismatch the test prints the complete replacement file.
 
+use rainbowcake::core::mem::MemMb;
 use rainbowcake::core::policy::Policy;
 use rainbowcake::sim::cluster::{run_cluster_streaming, LocalitySharingLoad};
+use rainbowcake::sim::SimConfig;
 use rainbowcake_bench::{make_policy, Testbed, BASELINE_NAMES};
 
 const GOLDEN: &str = include_str!("golden/reports.digests");
@@ -29,6 +34,20 @@ fn reports_match_golden_digests() {
     for (name, report) in BASELINE_NAMES.iter().zip(bed.run_all_sequential()) {
         lines.push(format!(
             "suite {name} {:016x}",
+            fnv64(report.to_json().as_bytes())
+        ));
+    }
+    let pressure = Testbed {
+        config: SimConfig {
+            memory_capacity: MemMb::from_gb(2),
+            streaming_metrics: true,
+            ..bed.config.clone()
+        },
+        ..bed
+    };
+    for (name, report) in BASELINE_NAMES.iter().zip(pressure.run_all_sequential()) {
+        lines.push(format!(
+            "pressure {name} {:016x}",
             fnv64(report.to_json().as_bytes())
         ));
     }
