@@ -51,4 +51,4 @@ pub mod pool;
 pub mod tiered;
 
 pub use config::SimConfig;
-pub use engine::{run, EngineProfile};
+pub use engine::{run, EngineProfile, PlacementStats};

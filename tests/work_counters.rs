@@ -9,9 +9,10 @@
 //!   the admission queue and its ladder wakes do work.
 //!
 //! Each run records, as integers, its completed invocations, the events
-//! dispatched per kind, the event queue's pushes, cascade moves and
-//! deferred re-arms, and the history recorder's queries, scans and
-//! terms.
+//! dispatched per kind, the placement attempts with the idle-list
+//! entries they read as reuse candidates and the options they priced,
+//! the event queue's pushes, cascade moves and deferred re-arms, and the
+//! history recorder's queries, scans and terms.
 //! Unlike wall-clock throughput these counts are identical on every
 //! host, so a change that moves a layer's work shows up here as a
 //! reviewed diff of the fixture: on a mismatch the test prints the
@@ -59,8 +60,14 @@ fn counter_lines(
     for (kind, &count) in EngineProfile::KIND_NAMES.iter().zip(&profile.counts) {
         counters.push((format!("events.{kind}"), count));
     }
-    let (queue, history) = (profile.queue, profile.history);
+    let (placement, queue, history) = (profile.placement, profile.queue, profile.history);
     counters.extend([
+        ("placement.calls".to_string(), placement.calls),
+        ("placement.entries_read".to_string(), placement.entries_read),
+        (
+            "placement.options_priced".to_string(),
+            placement.options_priced,
+        ),
         ("queue.pushes".to_string(), queue.pushes),
         ("queue.cascade_moves".to_string(), queue.cascade_moves),
         ("queue.deferred".to_string(), queue.deferred),
