@@ -25,13 +25,22 @@
 //! The per-owner, per-layer and attachable indices are doubly linked
 //! lists threaded through one slot-indexed link array: a warm start
 //! takes a container off its list and its completion puts it back, each
-//! in O(1), with no heap object per function. The lists are unordered;
-//! readers that pick one container compare keys explicitly, and
-//! id-ordered readers (idle views, `ReuseScope::All`, end-of-run
-//! accounting) walk `live` filtered by lifecycle state. The indices
-//! are kept in lockstep with container state: every mutable container
-//! access goes through the [`ContainerMut`] guard, which re-derives the
-//! container's index entries when it is dropped.
+//! in O(1), with no heap object per function.
+//!
+//! The idle lists ([`IdleList`]) are kept in **idle-entry order**, most
+//! recently idle first. A container is linked at its list's head, and
+//! the engine stamps `idle_since` at every link with the current time or
+//! a just-settled ladder boundary, never earlier than anything already
+//! listed, so linking at the head keeps each list sorted. The warmest
+//! container, the one a warm start reuses, is therefore read at the head
+//! ([`Pool::warmest`]): only the head's run of equal `idle_since` is
+//! compared, not the whole list. Id-ordered readers (idle views,
+//! `ReuseScope::All`, end-of-run accounting) walk `live` filtered by
+//! lifecycle state. The indices are kept in lockstep with container
+//! state: every mutable container access goes through the
+//! [`ContainerMut`] guard, which re-derives the container's index
+//! entries when it is dropped, and re-links it at the head when its
+//! `idle_since` was re-stamped.
 
 use std::ops::{Deref, DerefMut};
 
@@ -112,11 +121,9 @@ impl<T: Default> FnTable<T> {
 /// End-of-list marker for list heads and slot links.
 const NIL: u32 = u32::MAX;
 
-/// The slot-linked index list a container is on, derived from its
-/// state. A container is on at most one: idle and initializing are
-/// exclusive states, and an idle container's layer names one list.
+/// One of the pool's idle lists, each kept most recently idle first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum List {
+pub enum IdleList {
     /// Idle at the `User` layer, owned by the function.
     User(FunctionId),
     /// Idle at exactly the `Lang` layer with this language — the
@@ -125,6 +132,15 @@ enum List {
     Lang(Language),
     /// Idle at exactly the `Bare` layer (`SharedBare` candidates).
     Bare,
+}
+
+/// The slot-linked index list a container is on, derived from its
+/// state. A container is on at most one: idle and initializing are
+/// exclusive states, and an idle container's layer names one list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum List {
+    /// An idle list, in idle-entry order.
+    Idle(IdleList),
     /// An attachable in-flight `User`-target initialization for the
     /// function (the `Load` path).
     Attachable(FunctionId),
@@ -152,11 +168,12 @@ impl IndexKey {
         let layer = c.layer();
         let list = if idle {
             match layer {
-                Some(Layer::User) => c.owner().map(List::User),
-                Some(Layer::Lang) => c.language().map(List::Lang),
-                Some(Layer::Bare) => Some(List::Bare),
+                Some(Layer::User) => c.owner().map(IdleList::User),
+                Some(Layer::Lang) => c.language().map(IdleList::Lang),
+                Some(Layer::Bare) => Some(IdleList::Bare),
                 None => None,
             }
+            .map(List::Idle)
         } else if c.is_attachable_init() && layer == Some(Layer::User) {
             c.init_for.map(List::Attachable)
         } else {
@@ -194,9 +211,10 @@ fn fn_head(heads: &mut Vec<u32>, f: FunctionId) -> &mut u32 {
 /// containers per language, idle `Bare`-layer containers, attachable
 /// initializations per function — are doubly linked lists threaded
 /// through one slot-indexed [`Link`] array, so linking and unlinking a
-/// container is O(1) and no list owns a heap object. List order carries
-/// no meaning: readers that pick a winner compare keys explicitly, and
-/// id-ordered enumerations walk the pool's `live` set instead.
+/// container is O(1) and no list owns a heap object. A container is
+/// always linked at the head, so the idle lists stay in idle-entry
+/// order (see the module docs); id-ordered enumerations walk the pool's
+/// `live` set instead.
 #[derive(Debug)]
 struct PoolIndex {
     /// List links, indexed by pool slot.
@@ -247,18 +265,20 @@ impl PoolIndex {
     /// The first slot on `list`, or [`NIL`].
     fn head(&self, list: List) -> u32 {
         match list {
-            List::User(f) => self.idle_user_heads.get(f.index()).copied().unwrap_or(NIL),
-            List::Lang(lang) => self.idle_lang_heads[lang.index()],
-            List::Bare => self.idle_bare_head,
+            List::Idle(IdleList::User(f)) => {
+                self.idle_user_heads.get(f.index()).copied().unwrap_or(NIL)
+            }
+            List::Idle(IdleList::Lang(lang)) => self.idle_lang_heads[lang.index()],
+            List::Idle(IdleList::Bare) => self.idle_bare_head,
             List::Attachable(f) => self.attachable_heads.get(f.index()).copied().unwrap_or(NIL),
         }
     }
 
     fn head_mut(&mut self, list: List) -> &mut u32 {
         match list {
-            List::User(f) => fn_head(&mut self.idle_user_heads, f),
-            List::Lang(lang) => &mut self.idle_lang_heads[lang.index()],
-            List::Bare => &mut self.idle_bare_head,
+            List::Idle(IdleList::User(f)) => fn_head(&mut self.idle_user_heads, f),
+            List::Idle(IdleList::Lang(lang)) => &mut self.idle_lang_heads[lang.index()],
+            List::Idle(IdleList::Bare) => &mut self.idle_bare_head,
             List::Attachable(f) => fn_head(&mut self.attachable_heads, f),
         }
     }
@@ -319,8 +339,8 @@ impl PoolIndex {
     }
 }
 
-/// The ids on one slot-linked list, in list order (which carries no
-/// meaning).
+/// The ids on one slot-linked list, in list order (most recently idle
+/// first, on an idle list).
 struct ListIds<'p> {
     links: &'p [Link],
     slots: &'p [Option<Container>],
@@ -352,6 +372,9 @@ pub struct ContainerMut<'p> {
     /// Empty in every state but an idle `User` container with a packed
     /// set, so the clone is allocation-free on the hot path.
     old_packed: Vec<FunctionId>,
+    /// `idle_since` at guard creation: a listed container re-stamped
+    /// in place moves to its list's head.
+    old_idle_since: Instant,
 }
 
 impl Deref for ContainerMut<'_> {
@@ -371,7 +394,8 @@ impl Drop for ContainerMut<'_> {
     fn drop(&mut self) {
         let new_key = IndexKey::of(self.container);
         let new_packed = indexed_packed(&new_key, self.container);
-        if new_key != self.old_key || self.old_packed != new_packed {
+        let restamped = new_key.list.is_some() && self.container.idle_since != self.old_idle_since;
+        if new_key != self.old_key || self.old_packed != new_packed || restamped {
             self.index
                 .unlink(self.container.id, &self.old_key, &self.old_packed);
             self.index.link(self.container.id, &new_key, new_packed);
@@ -516,11 +540,13 @@ impl Pool {
         }
         let old_key = IndexKey::of(container);
         let old_packed = indexed_packed(&old_key, container).to_vec();
+        let old_idle_since = container.idle_since;
         Some(ContainerMut {
             container,
             index,
             old_key,
             old_packed,
+            old_idle_since,
         })
     }
 
@@ -587,10 +613,48 @@ impl Pool {
         }
     }
 
-    /// Ids of idle `User` containers owned by `f`, in no particular
-    /// order (index-backed).
-    pub fn idle_user_ids(&self, f: FunctionId) -> impl Iterator<Item = ContainerId> + '_ {
-        self.list_ids(List::User(f))
+    /// Ids on one idle list, most recently idle first (index-backed).
+    pub fn idle_list_ids(&self, list: IdleList) -> impl Iterator<Item = ContainerId> + '_ {
+        self.list_ids(List::Idle(list))
+    }
+
+    /// The most recently idle container on `list`, ties broken by the
+    /// lowest id, and how many entries that took: the head's run of
+    /// equal `idle_since`. The list is in idle-entry order, so nothing
+    /// past that run can win; the one further entry read, to see the
+    /// run end, is not counted.
+    pub fn warmest(&self, list: IdleList) -> Option<(&Container, usize)> {
+        let links = &self.index.links;
+        let mut slot = self.index.head(List::Idle(list));
+        if slot == NIL {
+            return None;
+        }
+        let mut best = self.slots[slot as usize]
+            .as_ref()
+            .expect("listed slot empty");
+        let since = best.idle_since;
+        let mut run = 1;
+        loop {
+            slot = links[slot as usize].next;
+            if slot == NIL {
+                break;
+            }
+            let c = self.slots[slot as usize]
+                .as_ref()
+                .expect("listed slot empty");
+            if c.idle_since != since {
+                debug_assert!(
+                    c.idle_since < since,
+                    "{list:?} list out of idle-entry order"
+                );
+                break;
+            }
+            run += 1;
+            if c.id < best.id {
+                best = c;
+            }
+        }
+        Some((best, run))
     }
 
     /// Ids of idle `User` containers whose packed set includes `f`, in
@@ -603,22 +667,6 @@ impl Pool {
             .get(f)
             .into_iter()
             .flat_map(|set| set.iter())
-    }
-
-    /// Ids of idle containers at exactly the `Lang` layer for
-    /// `language`, in no particular order (index-backed): the
-    /// `SharedLang` candidates of layer-aware reuse scopes.
-    pub fn idle_lang_layer_ids(
-        &self,
-        language: Language,
-    ) -> impl Iterator<Item = ContainerId> + '_ {
-        self.list_ids(List::Lang(language))
-    }
-
-    /// Ids of idle containers at exactly the `Bare` layer, in no
-    /// particular order (index-backed): the `SharedBare` candidates.
-    pub fn idle_bare_ids(&self) -> impl Iterator<Item = ContainerId> + '_ {
-        self.list_ids(List::Bare)
     }
 
     /// The idle-interval start of a live container.
@@ -657,7 +705,7 @@ impl Pool {
     /// Whether an idle `User` container owned by `f` exists (Alg. 1's
     /// availability check). Index-backed: one dense-table lookup.
     pub fn has_idle_user(&self, f: FunctionId) -> bool {
-        self.index.head(List::User(f)) != NIL
+        self.index.head(List::Idle(IdleList::User(f))) != NIL
     }
 
     /// Number of containers currently initializing (drives the Fig. 13
@@ -682,6 +730,8 @@ impl Pool {
     ///   container with a layer list, each attachable initialization —
     ///   is on exactly that list, the lists' `prev`/`next` links are
     ///   mutual, and no list holds a vacant or busy slot;
+    /// * every idle list is in idle-entry order: `idle_since` never
+    ///   rises from the head on;
     /// * the packed index and the initializing count match the slab.
     ///
     /// The pool unit tests and the index proptest call this after every
@@ -702,12 +752,12 @@ impl Pool {
             self.live.iter().all(|id| self.get(id).is_some()),
             "live set names a vacant slot"
         );
-        let mut on_lists = self.assert_list_coherent(List::Bare);
+        let mut on_lists = self.assert_list_coherent(List::Idle(IdleList::Bare));
         for lang in Language::ALL {
-            on_lists += self.assert_list_coherent(List::Lang(lang));
+            on_lists += self.assert_list_coherent(List::Idle(IdleList::Lang(lang)));
         }
         for f in (0..self.index.idle_user_heads.len()).map(|i| FunctionId::new(i as u32)) {
-            on_lists += self.assert_list_coherent(List::User(f));
+            on_lists += self.assert_list_coherent(List::Idle(IdleList::User(f)));
         }
         for f in (0..self.index.attachable_heads.len()).map(|i| FunctionId::new(i as u32)) {
             on_lists += self.assert_list_coherent(List::Attachable(f));
@@ -744,12 +794,13 @@ impl Pool {
     }
 
     /// Walks `list` from its head, asserting that each member is live
-    /// and keyed to this list and that the links are mutual. Returns the
-    /// list's length.
+    /// and keyed to this list, that the links are mutual and, on an idle
+    /// list, that `idle_since` never rises. Returns the list's length.
     fn assert_list_coherent(&self, list: List) -> usize {
         let mut prev = NIL;
         let mut slot = self.index.head(list);
         let mut len = 0;
+        let mut last_since = Instant::MAX;
         while slot != NIL {
             len += 1;
             assert!(len <= self.slots.len(), "{list:?} list has a cycle");
@@ -767,6 +818,14 @@ impl Pool {
                 link.prev, prev,
                 "{list:?} links at slot {slot} are not mutual"
             );
+            if matches!(list, List::Idle(_)) {
+                assert!(
+                    c.idle_since <= last_since,
+                    "{list:?} list out of idle-entry order at {}",
+                    c.id
+                );
+                last_since = c.idle_since;
+            }
             prev = slot;
             slot = link.next;
         }
@@ -943,7 +1002,8 @@ mod tests {
         assert!(p.has_idle_user(FunctionId::new(0)));
         assert_eq!(p.idle_ids().collect::<Vec<_>>(), vec![ContainerId::new(0)]);
         assert_eq!(
-            p.idle_user_ids(FunctionId::new(0)).collect::<Vec<_>>(),
+            p.idle_list_ids(IdleList::User(FunctionId::new(0)))
+                .collect::<Vec<_>>(),
             vec![ContainerId::new(0)]
         );
         p.assert_coherent();
@@ -1072,8 +1132,9 @@ mod tests {
     fn layer_indices_track_downgrades() {
         let mut p = Pool::new(MemMb::new(1_000));
         p.insert(idle_container(0, 100)); // idle User, Python
-        assert_eq!(p.idle_lang_layer_ids(Language::Python).count(), 0);
-        assert_eq!(p.idle_bare_ids().count(), 0);
+        let (lang, bare) = (IdleList::Lang(Language::Python), IdleList::Bare);
+        assert_eq!(p.idle_list_ids(lang).count(), 0);
+        assert_eq!(p.idle_list_ids(bare).count(), 0);
 
         // Downgrading User -> Lang moves the container into the
         // lang-layer index (and out of the per-owner one).
@@ -1083,10 +1144,10 @@ mod tests {
         }
         assert!(!p.has_idle_user(FunctionId::new(0)));
         assert_eq!(
-            p.idle_lang_layer_ids(Language::Python).collect::<Vec<_>>(),
+            p.idle_list_ids(lang).collect::<Vec<_>>(),
             vec![ContainerId::new(0)]
         );
-        assert_eq!(p.idle_bare_ids().count(), 0);
+        assert_eq!(p.idle_list_ids(bare).count(), 0);
         p.assert_coherent();
 
         // Lang -> Bare moves it into the bare index and out of the
@@ -1095,15 +1156,15 @@ mod tests {
             let mut c = p.get_mut(ContainerId::new(0)).unwrap();
             c.apply(LifecycleEvent::Downgrade).unwrap();
         }
-        assert_eq!(p.idle_lang_layer_ids(Language::Python).count(), 0);
+        assert_eq!(p.idle_list_ids(lang).count(), 0);
         assert_eq!(
-            p.idle_bare_ids().collect::<Vec<_>>(),
+            p.idle_list_ids(bare).collect::<Vec<_>>(),
             vec![ContainerId::new(0)]
         );
         p.assert_coherent();
 
         p.remove(ContainerId::new(0));
-        assert_eq!(p.idle_bare_ids().count(), 0);
+        assert_eq!(p.idle_list_ids(bare).count(), 0);
     }
 
     #[test]
@@ -1133,7 +1194,7 @@ mod tests {
     fn out_of_order_inserts_keep_indices_sorted() {
         // Externally constructed ids arrive out of creation order; the
         // id-ordered enumeration must still iterate in id order, and the
-        // unordered per-owner list must hold exactly the same ids.
+        // per-owner list, in link order, must hold exactly the same ids.
         let mut p = Pool::new(MemMb::new(10_000));
         for raw in [
             ContainerId::from_parts(5, 0),
@@ -1159,11 +1220,60 @@ mod tests {
         let ids: Vec<u32> = p.idle_ids().map(|id| id.seq()).collect();
         assert_eq!(ids, vec![1, 3, 5]);
         let mut owned: Vec<u32> = p
-            .idle_user_ids(FunctionId::new(0))
+            .idle_list_ids(IdleList::User(FunctionId::new(0)))
             .map(|id| id.seq())
             .collect();
         owned.sort_unstable();
         assert_eq!(owned, vec![1, 3, 5]);
         p.assert_coherent();
+    }
+
+    /// An idle `User` container of function 0 with the given creation
+    /// sequence and idle-entry time, in its own slot.
+    fn idle_at(seq: u32, since: u64) -> Container {
+        let mut c = idle_container(0, 10);
+        c.id = ContainerId::from_parts(seq, seq);
+        c.idle_since = Instant::from_micros(since);
+        c
+    }
+
+    #[test]
+    fn warmest_reads_the_head_and_breaks_ties_by_lowest_id() {
+        let list = IdleList::User(FunctionId::new(0));
+        // Two containers go idle in the same microsecond, after an older
+        // one; whichever of the two is linked last sits at the head, and
+        // the lowest id wins either way.
+        for tied in [[2, 3], [3, 2]] {
+            let mut p = Pool::new(MemMb::new(1_000));
+            p.insert(idle_at(1, 10));
+            for seq in tied {
+                p.insert(idle_at(seq, 20));
+            }
+            p.assert_coherent();
+            let (c, run) = p.warmest(list).unwrap();
+            assert_eq!(c.id.seq(), 2, "link order {tied:?}");
+            assert_eq!(run, 2, "the head's run is the two tied entries");
+            let order: Vec<u32> = p.idle_list_ids(list).map(|id| id.seq()).collect();
+            assert_eq!(order, vec![tied[1], tied[0], 1]);
+        }
+        assert!(Pool::new(MemMb::new(1)).warmest(list).is_none());
+    }
+
+    #[test]
+    fn restamped_idle_container_moves_to_its_list_head() {
+        // Re-stamping `idle_since` without changing the index key (a
+        // Pagurus repack of the same packed set) re-links the container
+        // at the head, so the list stays in idle-entry order.
+        let list = IdleList::User(FunctionId::new(0));
+        let mut p = Pool::new(MemMb::new(1_000));
+        p.insert(idle_at(1, 10));
+        p.insert(idle_at(2, 20));
+        assert_eq!(p.warmest(list).unwrap().0.id.seq(), 2);
+        p.get_mut(ContainerId::from_parts(1, 1)).unwrap().idle_since = Instant::from_micros(30);
+        p.assert_coherent();
+        let order: Vec<u32> = p.idle_list_ids(list).map(|id| id.seq()).collect();
+        assert_eq!(order, vec![1, 2]);
+        let (c, run) = p.warmest(list).unwrap();
+        assert_eq!((c.id.seq(), run), (1, 1));
     }
 }
