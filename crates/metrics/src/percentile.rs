@@ -94,8 +94,11 @@ impl LogHistogram {
         if v < HIST_MIN {
             return 0;
         }
-        let b = 1 + ((v / HIST_MIN).ln() / HIST_GROWTH.ln()).floor() as usize;
-        b.min(HIST_BINS - 1)
+        // `v` is at least `HIST_MIN` (or NaN), so the log quotient is
+        // never negative and `as usize` truncates it exactly as `floor`
+        // would: NaN casts to 0, and ∞ saturates into the last bin.
+        let steps = ((v / HIST_MIN).ln() / HIST_GROWTH.ln()) as usize;
+        steps.saturating_add(1).min(HIST_BINS - 1)
     }
 
     /// Lower edge of `bin` (0 for the underflow bin).
@@ -291,6 +294,40 @@ mod tests {
         a.merge(&LogHistogram::new());
         assert_eq!(a.len(), 1);
         assert_eq!(a.percentile(50.0), before);
+    }
+
+    #[test]
+    fn bin_of_matches_the_floored_quotient() {
+        // The expression `bin_of` used before it dropped `.floor()`; its
+        // `1 +` overflowed at ∞ (a panic in debug builds, bin 0 in
+        // release), so both sides add saturating.
+        let floored = |v: f64| -> usize {
+            if v < HIST_MIN {
+                return 0;
+            }
+            let steps = ((v / HIST_MIN).ln() / HIST_GROWTH.ln()).floor() as usize;
+            steps.saturating_add(1).min(HIST_BINS - 1)
+        };
+        let mut points = vec![
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            HIST_MIN,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for bin in 1..=HIST_BINS {
+            let edge = LogHistogram::bin_lo(bin);
+            points.extend([edge.next_down(), edge, edge.next_up()]);
+        }
+        for v in points {
+            assert_eq!(LogHistogram::bin_of(v), floored(v), "v = {v:e}");
+        }
+        assert_eq!(LogHistogram::bin_of(f64::NAN), 1);
+        assert_eq!(LogHistogram::bin_of(f64::INFINITY), HIST_BINS - 1);
     }
 
     #[test]
