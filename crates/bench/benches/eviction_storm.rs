@@ -1,7 +1,7 @@
 //! Criterion bench: the eviction fast path under sustained memory
 //! pressure. A deliberately tiny memory cap against a dense trace means
 //! nearly every admission must reclaim memory first, so this measures
-//! the `ensure_memory` → `select_victims` → `destroy_idle` pipeline in
+//! the `ensure_memory` → `select_victims` → `end_idle` pipeline in
 //! isolation — the path the batch-selection and lazy-heap work targets.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

@@ -3,8 +3,9 @@
 //! The experiment harness that regenerates every table and figure of the
 //! RainbowCake paper. Each `src/bin/*.rs` binary reproduces one
 //! table/figure (see DESIGN.md §4 for the index); `benches/` holds
-//! criterion micro-benchmarks of policy decision overhead and engine
-//! throughput.
+//! criterion micro-benchmarks that each isolate one component across
+//! policies: decision overhead, the history recorder, compound-rate
+//! queries and eviction. Whole runs are timed by simbench.
 //!
 //! Independent experiment runs fan out across threads through
 //! [`parallel`]; `bin/stress` checks the streaming cluster's byte

@@ -3,11 +3,16 @@
 //! A container moves along the path `Null → Bare → Lang → User → Running`
 //! while layers are installed (pre-warm or serving an invocation), drops
 //! back to idle-`User` after execution, and peels layers off one at a time
-//! while keep-alive windows expire (`User → Lang → Bare → terminated`).
+//! while keep-alive windows expire (`User → Lang → Bare`). Its death, when
+//! a `Bare` window expires or eviction picks it, is no state: the
+//! simulator removes the container from its pool.
 //!
-//! [`LifecycleState`] plus [`LifecycleState::transition`] make every legal
-//! edge of Fig. 5 explicit, so the simulator cannot drive a container
-//! through an impossible path.
+//! [`LifecycleState`] is the only record of a container's lifecycle
+//! facts: its layer, its language, its owner and, while a layer install
+//! or an execution is in flight, the function it serves.
+//! [`LifecycleState::transition`] makes every edge the simulator takes
+//! explicit, so it cannot drive a container through an impossible path
+//! or into an inconsistent state.
 
 use std::fmt;
 
@@ -24,6 +29,9 @@ pub enum LifecycleState {
         target: Layer,
         /// Function the initialization is performed for.
         for_function: FunctionId,
+        /// Language runtime being installed (present iff `target` is at
+        /// least `Lang`; completion checks it).
+        language: Option<Language>,
     },
     /// Idle and keep-alive at `layer`. A `Lang`/`User` idle container
     /// remembers its language; a `User` container its owner.
@@ -35,39 +43,35 @@ pub enum LifecycleState {
         /// Owning function (present iff `layer == User`).
         owner: Option<FunctionId>,
     },
-    /// Executing an invocation of `function`.
+    /// Executing an invocation of `function` at the `User` layer.
     Running {
         /// The function being executed.
         function: FunctionId,
+        /// The installed language runtime.
+        language: Language,
     },
-    /// Terminated; a terminal state.
-    Terminated,
 }
 
 /// An edge in the Fig. 5 state diagram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LifecycleEvent {
     /// Initialization finished: the container becomes idle at its target
-    /// layer (pre-warm) — or starts running (invocation start is modeled
-    /// by `BeginExecution`).
-    InitComplete {
-        /// Language installed (if target ≥ Lang).
-        language: Option<Language>,
-        /// Owner installed (if target == User).
-        owner: Option<FunctionId>,
-    },
+    /// layer, with the language it installed and, at `User`, owned by the
+    /// function it was initialized for. An invocation bound to it starts
+    /// with a separate `BeginExecution`.
+    InitComplete,
     /// An invocation begins executing (requires an idle `User` container
-    /// or completed initialization).
+    /// owned by the function).
     BeginExecution {
         /// Function to run; must match the idle container's owner.
         function: FunctionId,
     },
-    /// Execution finished; the container becomes idle at `User`.
+    /// Execution finished; the container becomes idle at `User`, owned
+    /// by the function it ran.
     ExecutionComplete,
-    /// Keep-alive expired and the policy chose to peel the top layer off.
+    /// Keep-alive expired and the top layer is peeled off (only above
+    /// `Bare`).
     Downgrade,
-    /// Keep-alive expired (or eviction) and the container is destroyed.
-    Terminate,
     /// An idle container is upgraded in place for a (possibly different)
     /// function: the partial warm-start path of §3.3.
     BeginUpgrade {
@@ -75,6 +79,8 @@ pub enum LifecycleEvent {
         for_function: FunctionId,
         /// New target layer (must be above the current one).
         target: Layer,
+        /// Language runtime the upgrade installs or keeps.
+        language: Language,
     },
     /// An idle `User` container is re-specialized (renamed) to a
     /// different function whose packages it already holds — the hand-off
@@ -108,33 +114,17 @@ impl fmt::Display for IllegalTransition {
 impl std::error::Error for IllegalTransition {}
 
 impl LifecycleState {
-    /// A fresh container that has just started initializing toward
-    /// `target` for `for_function`.
-    pub fn new_initializing(target: Layer, for_function: FunctionId) -> Self {
-        LifecycleState::Initializing {
-            target,
-            for_function,
-        }
-    }
-
     /// Whether the container is idle (available for reuse or sharing).
     pub fn is_idle(&self) -> bool {
         matches!(self, LifecycleState::Idle { .. })
     }
 
-    /// Whether the container has been terminated.
-    pub fn is_terminated(&self) -> bool {
-        matches!(self, LifecycleState::Terminated)
-    }
-
-    /// The installed (or in-flight target) top layer, if the container
-    /// still exists.
-    pub fn layer(&self) -> Option<Layer> {
+    /// The installed (or in-flight target) top layer.
+    pub fn layer(&self) -> Layer {
         match self {
-            LifecycleState::Initializing { target, .. } => Some(*target),
-            LifecycleState::Idle { layer, .. } => Some(*layer),
-            LifecycleState::Running { .. } => Some(Layer::User),
-            LifecycleState::Terminated => None,
+            LifecycleState::Initializing { target, .. } => *target,
+            LifecycleState::Idle { layer, .. } => *layer,
+            LifecycleState::Running { .. } => Layer::User,
         }
     }
 
@@ -144,49 +134,49 @@ impl LifecycleState {
     ///
     /// Returns [`IllegalTransition`] if Fig. 5 has no such edge — e.g.
     /// downgrading a running container, or executing on a `Bare` idle
-    /// container without upgrading it first.
+    /// container without upgrading it first — or if an initialization
+    /// completes without a language at `Lang` or above, or with one at
+    /// `Bare`.
     pub fn transition(self, event: LifecycleEvent) -> Result<LifecycleState, IllegalTransition> {
         use LifecycleEvent as E;
         use LifecycleState as S;
         match (self, event) {
-            (S::Initializing { target, .. }, E::InitComplete { language, owner }) => {
-                // Consistency of the payload with the target layer.
-                let ok = match target {
-                    Layer::Bare => language.is_none() && owner.is_none(),
-                    Layer::Lang => language.is_some() && owner.is_none(),
-                    Layer::User => language.is_some() && owner.is_some(),
-                };
-                if !ok {
-                    return Err(IllegalTransition { state: self, event });
-                }
-                Ok(S::Idle {
-                    layer: target,
+            (
+                S::Initializing {
+                    target,
+                    for_function,
                     language,
-                    owner,
-                })
-            }
+                },
+                E::InitComplete,
+            ) if language.is_some() == (target >= Layer::Lang) => Ok(S::Idle {
+                layer: target,
+                language,
+                owner: (target == Layer::User).then_some(for_function),
+            }),
             (
                 S::Idle {
                     layer: Layer::User,
+                    language: Some(language),
                     owner: Some(owner),
-                    ..
                 },
                 E::BeginExecution { function },
-            ) if owner == function => Ok(S::Running { function }),
-            // Running -> Idle carries a language payload the state does
-            // not know; it goes through `complete_execution` instead.
-            (S::Running { .. }, E::ExecutionComplete) => {
-                Err(IllegalTransition { state: self, event })
-            }
+            ) if owner == function => Ok(S::Running { function, language }),
+            (S::Running { function, language }, E::ExecutionComplete) => Ok(S::Idle {
+                layer: Layer::User,
+                language: Some(language),
+                owner: Some(function),
+            }),
             (
                 S::Idle { layer, .. },
                 E::BeginUpgrade {
                     for_function,
                     target,
+                    language,
                 },
             ) if layer < target => Ok(S::Initializing {
                 target,
                 for_function,
+                language: Some(language),
             }),
             (
                 S::Idle {
@@ -218,35 +208,7 @@ impl LifecycleState {
                 language,
                 owner: Some(function),
             }),
-            (S::Idle { .. }, E::Terminate) => Ok(S::Terminated),
-            (S::Initializing { .. }, E::Terminate) => Ok(S::Terminated),
             _ => Err(IllegalTransition { state: self, event }),
-        }
-    }
-
-    /// Completes execution: `Running(f)` becomes idle `User` owned by `f`
-    /// with the given language. Separate from [`transition`] because the
-    /// language is not recoverable from the state itself.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IllegalTransition`] if the container is not running.
-    ///
-    /// [`transition`]: LifecycleState::transition
-    pub fn complete_execution(
-        self,
-        language: Language,
-    ) -> Result<LifecycleState, IllegalTransition> {
-        match self {
-            LifecycleState::Running { function } => Ok(LifecycleState::Idle {
-                layer: Layer::User,
-                language: Some(language),
-                owner: Some(function),
-            }),
-            _ => Err(IllegalTransition {
-                state: self,
-                event: LifecycleEvent::ExecutionComplete,
-            }),
         }
     }
 }
@@ -266,26 +228,42 @@ mod tests {
         }
     }
 
+    fn initializing(target: Layer, language: Option<Language>) -> LifecycleState {
+        LifecycleState::Initializing {
+            target,
+            for_function: F,
+            language,
+        }
+    }
+
     #[test]
     fn cold_path_init_to_idle_user() {
-        let s = LifecycleState::new_initializing(Layer::User, F);
-        let s = s
-            .transition(LifecycleEvent::InitComplete {
-                language: Some(Language::Python),
-                owner: Some(F),
-            })
-            .unwrap();
+        let s = initializing(Layer::User, Some(Language::Python));
+        let s = s.transition(LifecycleEvent::InitComplete).unwrap();
         assert_eq!(s, idle_user());
     }
 
     #[test]
-    fn init_payload_must_match_target() {
-        let s = LifecycleState::new_initializing(Layer::Bare, F);
-        let err = s.transition(LifecycleEvent::InitComplete {
-            language: Some(Language::Python),
-            owner: None,
-        });
-        assert!(err.is_err());
+    fn init_language_must_match_target() {
+        // A language at Bare, or none at Lang or User, cannot complete.
+        for (target, language) in [
+            (Layer::Bare, Some(Language::Python)),
+            (Layer::Lang, None),
+            (Layer::User, None),
+        ] {
+            let s = initializing(target, language);
+            assert!(s.transition(LifecycleEvent::InitComplete).is_err());
+        }
+        // A pre-warm completes at its target without an owner below User.
+        let s = initializing(Layer::Lang, Some(Language::Java));
+        assert_eq!(
+            s.transition(LifecycleEvent::InitComplete).unwrap(),
+            LifecycleState::Idle {
+                layer: Layer::Lang,
+                language: Some(Language::Java),
+                owner: None,
+            }
+        );
     }
 
     #[test]
@@ -294,9 +272,16 @@ mod tests {
         let s = s
             .transition(LifecycleEvent::BeginExecution { function: F })
             .unwrap();
-        assert_eq!(s, LifecycleState::Running { function: F });
-        let s = s.complete_execution(Language::Python).unwrap();
+        assert_eq!(
+            s,
+            LifecycleState::Running {
+                function: F,
+                language: Language::Python,
+            }
+        );
+        let s = s.transition(LifecycleEvent::ExecutionComplete).unwrap();
         assert_eq!(s, idle_user());
+        assert!(s.transition(LifecycleEvent::ExecutionComplete).is_err());
     }
 
     #[test]
@@ -328,10 +313,8 @@ mod tests {
                 owner: None,
             }
         );
-        // A Bare container cannot downgrade further; it must terminate.
+        // A Bare container cannot downgrade further; the pool removes it.
         assert!(s.transition(LifecycleEvent::Downgrade).is_err());
-        let s = s.transition(LifecycleEvent::Terminate).unwrap();
-        assert!(s.is_terminated());
     }
 
     #[test]
@@ -347,18 +330,17 @@ mod tests {
             .transition(LifecycleEvent::BeginUpgrade {
                 for_function: G,
                 target: Layer::User,
+                language: Language::Python,
             })
             .unwrap();
-        let s = s
-            .transition(LifecycleEvent::InitComplete {
-                language: Some(Language::Python),
-                owner: Some(G),
-            })
-            .unwrap();
+        let s = s.transition(LifecycleEvent::InitComplete).unwrap();
         assert_eq!(
             s.transition(LifecycleEvent::BeginExecution { function: G })
                 .unwrap(),
-            LifecycleState::Running { function: G }
+            LifecycleState::Running {
+                function: G,
+                language: Language::Python,
+            }
         );
     }
 
@@ -369,15 +351,19 @@ mod tests {
             .transition(LifecycleEvent::BeginUpgrade {
                 for_function: F,
                 target: Layer::User,
+                language: Language::Python,
             })
             .is_err());
     }
 
     #[test]
-    fn running_cannot_downgrade_or_terminate() {
-        let s = LifecycleState::Running { function: F };
+    fn running_cannot_downgrade() {
+        let s = LifecycleState::Running {
+            function: F,
+            language: Language::Python,
+        };
         assert!(s.transition(LifecycleEvent::Downgrade).is_err());
-        assert!(s.transition(LifecycleEvent::Terminate).is_err());
+        assert!(s.transition(LifecycleEvent::InitComplete).is_err());
     }
 
     #[test]
@@ -408,29 +394,28 @@ mod tests {
         assert!(lang
             .transition(LifecycleEvent::Adopt { function: G })
             .is_err());
-        assert!(LifecycleState::Running { function: F }
-            .transition(LifecycleEvent::Adopt { function: G })
-            .is_err());
-    }
-
-    #[test]
-    fn terminated_is_terminal() {
-        let s = LifecycleState::Terminated;
-        assert!(s.transition(LifecycleEvent::Downgrade).is_err());
-        assert!(s.transition(LifecycleEvent::Terminate).is_err());
-        assert_eq!(s.layer(), None);
+        assert!(LifecycleState::Running {
+            function: F,
+            language: Language::Python,
+        }
+        .transition(LifecycleEvent::Adopt { function: G })
+        .is_err());
     }
 
     #[test]
     fn layer_reporting() {
-        assert_eq!(idle_user().layer(), Some(Layer::User));
+        assert_eq!(idle_user().layer(), Layer::User);
         assert_eq!(
-            LifecycleState::Running { function: F }.layer(),
-            Some(Layer::User)
+            LifecycleState::Running {
+                function: F,
+                language: Language::Python,
+            }
+            .layer(),
+            Layer::User
         );
         assert_eq!(
-            LifecycleState::new_initializing(Layer::Lang, F).layer(),
-            Some(Layer::Lang)
+            initializing(Layer::Lang, Some(Language::Python)).layer(),
+            Layer::Lang
         );
     }
 }

@@ -210,24 +210,6 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Builds a catalog from profiles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profiles' ids are not exactly `0..n` in order.
-    pub fn from_profiles(profiles: Vec<FunctionProfile>) -> Self {
-        for (i, p) in profiles.iter().enumerate() {
-            assert_eq!(
-                p.id.index(),
-                i,
-                "catalog requires dense ids; profile {} has id {}",
-                i,
-                p.id
-            );
-        }
-        Catalog { profiles }
-    }
-
     /// Appends a profile, assigning it the next dense id, and returns
     /// that id.
     pub fn push(&mut self, mut profile: FunctionProfile) -> FunctionId {
@@ -273,11 +255,6 @@ impl Catalog {
             .filter(|p| p.language == language)
             .map(|p| p.id)
             .collect()
-    }
-
-    /// All function ids (the Bare-layer sharing set).
-    pub fn all_ids(&self) -> Vec<FunctionId> {
-        self.profiles.iter().map(|p| p.id).collect()
     }
 
     /// Looks a function up by its short name.
@@ -364,7 +341,6 @@ mod tests {
         assert_eq!(c.language_group(Language::Python).len(), 2);
         assert_eq!(c.language_group(Language::Java).len(), 1);
         assert_eq!(c.language_group(Language::NodeJs).len(), 0);
-        assert_eq!(c.all_ids().len(), 3);
     }
 
     #[test]
@@ -372,12 +348,5 @@ mod tests {
         let p = FunctionProfile::synthetic(FunctionId::new(0), Language::Java);
         assert!(p.memory_at(Layer::Bare) < p.memory_at(Layer::Lang));
         assert!(p.memory_at(Layer::Lang) < p.memory_at(Layer::User));
-    }
-
-    #[test]
-    #[should_panic(expected = "dense ids")]
-    fn from_profiles_rejects_sparse_ids() {
-        let p = FunctionProfile::synthetic(FunctionId::new(5), Language::Python);
-        let _ = Catalog::from_profiles(vec![p]);
     }
 }

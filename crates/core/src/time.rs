@@ -77,11 +77,6 @@ impl Micros {
         self.0
     }
 
-    /// Returns the duration in whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Returns the duration in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
@@ -278,7 +273,7 @@ mod tests {
     #[test]
     fn construction_round_trips() {
         assert_eq!(Micros::from_millis(3).as_micros(), 3_000);
-        assert_eq!(Micros::from_secs(2).as_millis(), 2_000);
+        assert_eq!(Micros::from_secs(2).as_millis_f64(), 2_000.0);
         assert_eq!(Micros::from_mins(1).as_secs_f64(), 60.0);
         assert_eq!(Micros::from_secs_f64(0.5).as_micros(), 500_000);
     }

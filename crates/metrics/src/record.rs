@@ -40,11 +40,6 @@ impl StartType {
         StartType::Cold,
     ];
 
-    /// Whether the start avoided paying the full cold path.
-    pub fn is_warm(self) -> bool {
-        !matches!(self, StartType::Cold)
-    }
-
     /// The paper's Fig. 10 label for this category.
     pub fn paper_label(self) -> &'static str {
         match self {
@@ -115,16 +110,6 @@ mod tests {
         let r = rec(StartType::Cold);
         assert_eq!(r.e2e(), Micros::from_micros(1_005_000));
         assert_eq!(r.completed_at(), Instant::from_micros(1_006_000));
-    }
-
-    #[test]
-    fn warm_classification() {
-        assert!(!StartType::Cold.is_warm());
-        for t in StartType::ALL {
-            if t != StartType::Cold {
-                assert!(t.is_warm(), "{t:?}");
-            }
-        }
     }
 
     #[test]

@@ -1,5 +1,10 @@
 //! The simulator-side container: the core lifecycle state machine plus
 //! timing, memory, and invocation bookkeeping.
+//!
+//! The [`LifecycleState`] is the only record of a container's layer,
+//! language, owner and in-flight function; the fields beside it hold
+//! what the state machine does not model: memory, times, the packed
+//! set, the bound invocation's timing and the ladder schedule.
 
 use rainbowcake_core::lifecycle::{IllegalTransition, LifecycleEvent, LifecycleState};
 use rainbowcake_core::mem::MemMb;
@@ -45,44 +50,30 @@ impl LadderState {
 
     /// The oracle for lazy settlement: the (rung, rung-start) the eager
     /// per-rung chain would have physically reached at instant `t`,
-    /// walking the schedule from the idle start. A downgrade at boundary
-    /// `b` becomes visible strictly *after* `b` (an observer at exactly
-    /// `b` still sees the pre-downgrade rung, matching the eager chain's
-    /// within-tick ordering). Returns `None` when the eager chain would
-    /// already have terminated the container.
+    /// walking the schedule's cumulative boundaries from the idle start
+    /// ([`TtlLadder::boundary`]), independently of the incremental
+    /// [`Self::next_boundary`] that settlement uses. A downgrade at
+    /// boundary `b` becomes visible strictly *after* `b` (an observer at
+    /// exactly `b` still sees the pre-downgrade rung, matching the eager
+    /// chain's within-tick ordering). Returns `None` when the eager chain
+    /// would already have terminated the container.
     pub fn effective_at(&self, t: Instant) -> Option<(u8, Instant)> {
-        let mut rung = 0u8;
         let mut start = self.started;
-        loop {
-            let ttl = self.ladder.ttls[rung as usize];
-            if ttl == Micros::MAX {
-                return Some((rung, start));
+        for rung in 0..self.ladder.rungs {
+            match self.ladder.boundary(self.started, rung) {
+                Some(end) if t > end => start = end,
+                _ => return Some((rung, start)),
             }
-            let Some(end) = start
-                .as_micros()
-                .checked_add(ttl.as_micros())
-                .map(Instant::from_micros)
-            else {
-                return Some((rung, start));
-            };
-            if t <= end {
-                return Some((rung, start));
-            }
-            if rung + 1 >= self.ladder.rungs {
-                return None;
-            }
-            rung += 1;
-            start = end;
         }
+        None
     }
 }
 
 /// The invocation currently assigned to a container (waiting for its
-/// startup to finish, or executing).
+/// startup to finish, or executing). Its function is the container's:
+/// the one it initializes for, or the one it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AssignedInvocation {
-    /// Invoked function.
-    pub function: FunctionId,
     /// When the invocation arrived at the platform.
     pub arrival: Instant,
     /// When it was admitted (differs from `arrival` if it queued).
@@ -117,11 +108,6 @@ pub struct Container {
     /// When the in-flight initialization completes (valid while
     /// initializing).
     pub init_done_at: Instant,
-    /// Function the in-flight initialization is for.
-    pub init_for: Option<FunctionId>,
-    /// Language that will be installed by the in-flight initialization
-    /// (or is installed, while idle/running).
-    pub init_language: Option<Language>,
     /// The invocation bound to this container, if any.
     pub assigned: Option<AssignedInvocation>,
     /// Ladder keep-alive state while in a ladder idle period (policies
@@ -143,7 +129,11 @@ impl Container {
     ) -> Self {
         Container {
             id,
-            state: LifecycleState::new_initializing(target, for_function),
+            state: LifecycleState::Initializing {
+                target,
+                for_function,
+                language,
+            },
             memory,
             packed: Vec::new(),
             created_at: now,
@@ -151,8 +141,6 @@ impl Container {
             hits: 0,
             epoch: 0,
             init_done_at,
-            init_for: Some(for_function),
-            init_language: language,
             assigned: None,
             ladder: None,
         }
@@ -170,7 +158,7 @@ impl Container {
     }
 
     /// The installed (or target) layer.
-    pub fn layer(&self) -> Option<Layer> {
+    pub fn layer(&self) -> Layer {
         self.state.layer()
     }
 
@@ -182,13 +170,12 @@ impl Container {
         }
     }
 
-    /// The installed language, if any.
+    /// The installed (or in-flight) language, if any.
     pub fn language(&self) -> Option<Language> {
         match self.state {
-            LifecycleState::Idle { language, .. } => language,
-            LifecycleState::Initializing { .. } => self.init_language,
-            LifecycleState::Running { .. } => self.init_language,
-            LifecycleState::Terminated => None,
+            LifecycleState::Initializing { language, .. }
+            | LifecycleState::Idle { language, .. } => language,
+            LifecycleState::Running { language, .. } => Some(language),
         }
     }
 
@@ -204,49 +191,35 @@ impl Container {
         Ok(())
     }
 
-    /// Completes the running execution: the container becomes an idle
-    /// `User` container owned by the function it just ran.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IllegalTransition`] if the container is not running.
-    pub fn finish_exec(&mut self, language: Language) -> Result<(), IllegalTransition> {
-        self.state = self.state.complete_execution(language)?;
-        self.epoch += 1;
-        Ok(())
-    }
-
-    /// Bumps the epoch without a lifecycle transition (used when the
-    /// idle container is re-armed in place, e.g. re-packing).
+    /// Bumps the epoch without a lifecycle transition (used when an idle
+    /// container is re-armed in place: a re-pack, or a keep-alive
+    /// timeout's [`Self::downgrade`]).
     pub fn bump_epoch(&mut self) {
         self.epoch += 1;
     }
 
-    /// Applies one ladder downgrade **without** bumping the epoch: the
-    /// epoch marks the idle period, which a settled rung does not end,
-    /// so the settlement entry pushed for the next rung carries the same
-    /// epoch, and the reuse that ends the period invalidates them all at
-    /// once.
-    /// The caller advances `ladder`, `idle_since`, and the memory
-    /// footprint.
+    /// Peels the top layer off an idle container **without** bumping the
+    /// epoch: the epoch marks the idle period, which a settled ladder
+    /// rung does not end, so the settlement entry pushed for the next
+    /// rung carries the same epoch, and the reuse that ends the period
+    /// invalidates them all at once. A keep-alive timeout's downgrade
+    /// does end the period and bumps the epoch itself. The caller
+    /// advances `idle_since`, the packed set, the ladder rung and the
+    /// memory footprint.
     ///
     /// # Errors
     ///
     /// Propagates [`IllegalTransition`] from the state machine.
-    pub fn settle_downgrade(&mut self) -> Result<(), IllegalTransition> {
+    pub fn downgrade(&mut self) -> Result<(), IllegalTransition> {
         self.state = self.state.transition(LifecycleEvent::Downgrade)?;
         Ok(())
     }
 
     /// The policy-facing view of this container.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the container is terminated (it has no layer).
     pub fn view(&self) -> ContainerView {
         ContainerView {
             id: self.id,
-            layer: self.layer().expect("live container has a layer"),
+            layer: self.layer(),
             language: self.language(),
             owner: self.owner(),
             packed: self.packed.clone(),
@@ -279,7 +252,7 @@ mod tests {
         let c = fresh();
         assert!(c.is_attachable_init());
         assert!(!c.is_idle());
-        assert_eq!(c.layer(), Some(Layer::User));
+        assert_eq!(c.layer(), Layer::User);
         assert_eq!(c.language(), Some(Language::Python));
     }
 
@@ -287,11 +260,7 @@ mod tests {
     fn apply_bumps_epoch() {
         let mut c = fresh();
         let e0 = c.epoch;
-        c.apply(LifecycleEvent::InitComplete {
-            language: Some(Language::Python),
-            owner: Some(FunctionId::new(0)),
-        })
-        .unwrap();
+        c.apply(LifecycleEvent::InitComplete).unwrap();
         assert_eq!(c.epoch, e0 + 1);
         assert!(c.is_idle());
         assert_eq!(c.owner(), Some(FunctionId::new(0)));
@@ -351,32 +320,24 @@ mod tests {
     }
 
     #[test]
-    fn settle_downgrade_keeps_the_epoch() {
+    fn downgrade_keeps_the_epoch() {
         let mut c = fresh();
-        c.apply(LifecycleEvent::InitComplete {
-            language: Some(Language::Python),
-            owner: Some(FunctionId::new(0)),
-        })
-        .unwrap();
+        c.apply(LifecycleEvent::InitComplete).unwrap();
         let e = c.epoch;
-        c.settle_downgrade().unwrap();
+        c.downgrade().unwrap();
         assert_eq!(c.epoch, e);
-        assert_eq!(c.layer(), Some(Layer::Lang));
+        assert_eq!(c.layer(), Layer::Lang);
         assert_eq!(c.owner(), None);
-        c.settle_downgrade().unwrap();
+        c.downgrade().unwrap();
         assert_eq!(c.epoch, e);
-        assert_eq!(c.layer(), Some(Layer::Bare));
-        assert!(c.settle_downgrade().is_err());
+        assert_eq!(c.layer(), Layer::Bare);
+        assert!(c.downgrade().is_err());
     }
 
     #[test]
     fn view_mirrors_state() {
         let mut c = fresh();
-        c.apply(LifecycleEvent::InitComplete {
-            language: Some(Language::Python),
-            owner: Some(FunctionId::new(0)),
-        })
-        .unwrap();
+        c.apply(LifecycleEvent::InitComplete).unwrap();
         let v = c.view();
         assert_eq!(v.layer, Layer::User);
         assert_eq!(v.owner, Some(FunctionId::new(0)));

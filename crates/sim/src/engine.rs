@@ -25,7 +25,7 @@ use rainbowcake_core::policy::{
 };
 use rainbowcake_core::profile::{Catalog, FunctionProfile};
 use rainbowcake_core::time::{Instant, Micros};
-use rainbowcake_core::types::{ContainerId, FunctionId, Language, Layer};
+use rainbowcake_core::types::{ContainerId, FunctionId, Layer};
 use rainbowcake_metrics::{IdleOutcome, InvocationRecord, MetricsCollector, RunReport, StartType};
 use rainbowcake_trace::samplers::{lognormal_from_params, lognormal_params};
 use rainbowcake_trace::Arrival;
@@ -91,10 +91,10 @@ struct Drawn {
 /// trace length; a caller holding a `Trace` passes
 /// `trace.iter().copied(), trace.horizon()`.
 ///
-/// With `profile`, the run also counts dispatched events per kind into
-/// it, and adds its completed invocations, its event-queue work counters
-/// and the policy's history counters. Profiling reads no clock and never
-/// changes the report.
+/// With `profile`, the run adds its dispatched events per kind, its
+/// completed invocations, its placement and event-queue work counters
+/// and the policy's history counters to it. Profiling reads no clock and
+/// never changes the report.
 ///
 /// The run is fully deterministic given the catalog, arrivals, config,
 /// and the policy's own state.
@@ -269,6 +269,10 @@ struct Engine<'a> {
     scratch_options: Vec<(Micros, u8, Placement)>,
     /// Placement work, merged into the profile at the end of `run`.
     placement: PlacementStats,
+    /// Events dispatched per kind (indexed like
+    /// [`EngineProfile::KIND_NAMES`]), merged into the profile at the end
+    /// of `run`.
+    dispatched: [u64; 6],
     /// Runs the eager per-rung timer chain instead of the lazy ladder
     /// schedule; only `run_eager` sets it.
     #[cfg(test)]
@@ -326,6 +330,7 @@ impl<'a> Engine<'a> {
             scratch_views: Vec::new(),
             scratch_options: Vec::new(),
             placement: PlacementStats::default(),
+            dispatched: [0; 6],
             #[cfg(test)]
             eager_chain: false,
         }
@@ -356,14 +361,11 @@ impl<'a> Engine<'a> {
     ///
     /// Ladder boundaries strictly before the tick are settled first, so
     /// every handler observes the pool exactly as the eager per-rung
-    /// chain would have left it. With `profile` set, each event is
-    /// counted into the per-kind breakdown.
-    fn dispatch_batch(&mut self, batch: &[Event], mut profile: Option<&mut EngineProfile>) {
+    /// chain would have left it. Each event is counted by kind.
+    fn dispatch_batch(&mut self, batch: &[Event]) {
         self.settle_due(self.now, false);
         for event in batch {
-            if let Some(p) = profile.as_deref_mut() {
-                p.counts[kind_rank(&event.kind)] += 1;
-            }
+            self.dispatched[kind_rank(&event.kind)] += 1;
             match event.kind {
                 EventKind::Arrival { function } => self.handle_arrival(function),
                 EventKind::InitComplete { container, epoch } => {
@@ -448,9 +450,12 @@ impl<'a> Engine<'a> {
                 self.events.drain_tick(&mut batch);
             }
             self.now = tick;
-            self.dispatch_batch(&batch, profile.as_deref_mut());
+            self.dispatch_batch(&batch);
         }
         if let Some(p) = profile.as_deref_mut() {
+            for (total, n) in p.counts.iter_mut().zip(self.dispatched) {
+                *total += n;
+            }
             p.history
                 .merge(&self.policy.history_stats().unwrap_or_default());
             p.queue.merge(&self.events.stats());
@@ -776,7 +781,7 @@ impl<'a> Engine<'a> {
                 Placement::Reuse(id, class) => {
                     self.execute_reuse(id, class, f, profile, arrival, startup)
                 }
-                Placement::Attach(id) => self.execute_attach(id, f, profile, arrival, startup),
+                Placement::Attach(id) => self.execute_attach(id, profile, arrival, startup),
                 Placement::Cold => self.execute_cold(f, profile, arrival, startup),
             };
             if ok {
@@ -791,14 +796,12 @@ impl<'a> Engine<'a> {
 
     fn make_assignment(
         &mut self,
-        f: FunctionId,
         profile: &FunctionProfile,
         arrival: Instant,
         startup: Micros,
         start_type: StartType,
     ) -> AssignedInvocation {
         AssignedInvocation {
-            function: f,
             arrival,
             admit: self.now,
             startup,
@@ -843,7 +846,7 @@ impl<'a> Engine<'a> {
             ReuseClass::SharedLang => StartType::SharedLang,
             ReuseClass::SharedBare => StartType::SharedBare,
         };
-        let assignment = self.make_assignment(f, profile, arrival, startup, start_type);
+        let assignment = self.make_assignment(profile, arrival, startup, start_type);
         let exec_done = self.now + startup + assignment.exec;
 
         match class {
@@ -862,7 +865,6 @@ impl<'a> Engine<'a> {
                     }
                     c.apply(LifecycleEvent::BeginExecution { function: f })
                         .expect("idle user container can execute");
-                    c.init_language = Some(profile.language);
                     c.assigned = Some(assignment);
                 }
                 self.events
@@ -876,10 +878,9 @@ impl<'a> Engine<'a> {
                     c.apply(LifecycleEvent::BeginUpgrade {
                         for_function: f,
                         target: Layer::User,
+                        language: profile.language,
                     })
                     .expect("idle lower-layer container upgradable");
-                    c.init_for = Some(f);
-                    c.init_language = Some(profile.language);
                     c.init_done_at = self.now + startup;
                     c.assigned = Some(assignment);
                     c.epoch
@@ -899,12 +900,11 @@ impl<'a> Engine<'a> {
     fn execute_attach(
         &mut self,
         id: ContainerId,
-        f: FunctionId,
         profile: &FunctionProfile,
         arrival: Instant,
         startup: Micros,
     ) -> bool {
-        let assignment = self.make_assignment(f, profile, arrival, startup, StartType::Attached);
+        let assignment = self.make_assignment(profile, arrival, startup, StartType::Attached);
         match self.pool.get_mut(id) {
             Some(mut c) if c.is_attachable_init() => {
                 c.assigned = Some(assignment);
@@ -925,7 +925,7 @@ impl<'a> Engine<'a> {
         if !self.ensure_memory(mem, None) {
             return false;
         }
-        let assignment = self.make_assignment(f, profile, arrival, startup, StartType::Cold);
+        let assignment = self.make_assignment(profile, arrival, startup, StartType::Cold);
         let id = self.pool.next_id();
         let mut c = Container::new_initializing(
             id,
@@ -983,49 +983,60 @@ impl<'a> Engine<'a> {
                 self.pool.get(victim).is_some_and(|c| c.is_idle()),
                 "victim must be a live idle container"
             );
-            self.destroy_idle(victim);
+            self.end_idle(victim, self.now);
         }
         self.pool.fits(extra)
     }
 
-    /// Destroys an idle container, accounting its last idle interval as
-    /// never-hit waste. Does not touch the admission queue.
-    fn destroy_idle(&mut self, id: ContainerId) {
-        let (since, mem) = {
-            let c = self.pool.get(id).expect("terminating unknown container");
-            (c.idle_since, c.memory)
+    /// Ends an idle container at instant `at`: its last idle interval is
+    /// recorded as never-hit waste, it leaves the pool, and the policy
+    /// hears of it at `at`. Eviction, keep-alive expiry and a ladder's
+    /// last rung all end containers here. Does not touch the admission
+    /// queue.
+    fn end_idle(&mut self, id: ContainerId, at: Instant) {
+        let c = self.pool.remove(id);
+        self.record_waste(c.memory, c.idle_since, at, IdleOutcome::Miss);
+        // `self.now` may already be past a settled ladder boundary `at`;
+        // the policy sees the death when the eager chain would have.
+        let ctx = PolicyCtx {
+            now: at,
+            catalog: self.catalog,
         };
-        self.record_waste(mem, since, self.now, IdleOutcome::Miss);
-        self.pool.remove(id);
-        let ctx = self.ctx();
         self.policy.on_terminated(&ctx, id);
     }
 
-    /// Destroys an idle container and re-admits queued work into the
+    /// Ends an idle container now and re-admits queued work into the
     /// freed memory (the keep-alive-expiry path).
     fn terminate_container(&mut self, id: ContainerId) {
-        self.destroy_idle(id);
+        self.end_idle(id, self.now);
         self.drain_pending();
     }
 
-    /// Idle footprint after peeling the top layer off a container at
-    /// `layer` (language-specific for Lang, universal for Bare). The
-    /// per-language anchor profiles are precomputed at engine
-    /// construction, so this is two array reads.
-    fn downgraded_footprint_parts(&self, layer: Layer, language: Option<Language>) -> MemMb {
-        let next = layer
-            .downgrade()
-            .expect("downgrade decisions only occur above Bare");
-        let anchor = language
-            .and_then(|lang| self.anchor_by_lang[lang.index()])
-            .or_else(|| self.catalog.iter().next())
-            .expect("catalog is non-empty");
-        anchor.memory_at(next)
-    }
-
-    /// [`Self::downgraded_footprint_parts`] from a policy view.
-    fn downgraded_footprint(&self, view: &ContainerView) -> MemMb {
-        self.downgraded_footprint_parts(view.layer, view.language)
+    /// Peels the top layer off an idle container at instant `at`: the
+    /// expired idle interval is recorded as never-hit waste, a new one
+    /// starts at `at` with an empty packed set (and, on a ladder, at the
+    /// next rung), and the footprint shrinks to the lower layer's —
+    /// language-specific for `Lang`, universal for `Bare`, read from the
+    /// per-language anchor profile. Ladder settlement and keep-alive
+    /// timeouts both downgrade here. The epoch is left alone (see
+    /// [`Container::downgrade`]).
+    fn downgrade_idle(&mut self, id: ContainerId, at: Instant) {
+        let (mem, since, new_mem) = {
+            let mut c = self.pool.get_mut(id).expect("downgrade target exists");
+            let (mem, since, language) = (c.memory, c.idle_since, c.language());
+            c.downgrade().expect("downgrades occur only above Bare");
+            c.idle_since = at;
+            c.packed.clear();
+            if let Some(ls) = c.ladder.as_mut() {
+                ls.rung += 1;
+            }
+            let anchor = language
+                .and_then(|lang| self.anchor_by_lang[lang.index()])
+                .expect("a container above Bare has a language in the catalog");
+            (mem, since, anchor.memory_at(c.layer()))
+        };
+        self.record_waste(mem, since, at, IdleOutcome::Miss);
+        self.pool.resize(id, new_mem);
     }
 
     // ------------------------------------------------------------------
@@ -1093,46 +1104,17 @@ impl<'a> Engine<'a> {
         settled
     }
 
-    /// Replays one ladder boundary: the idle interval that just expired
-    /// is recorded as never-hit waste, then the container either dies
-    /// (last rung) or physically downgrades one rung and re-enters the
-    /// settlement heap at its next boundary.
+    /// Replays one ladder boundary at `b`: the container either dies
+    /// (last rung) or downgrades one rung and re-enters the settlement
+    /// heap at its next boundary.
     fn settle_one(&mut self, id: ContainerId, b: Instant) {
-        let (mem, idle_since, layer, language, last) = {
-            let c = self.pool.get(id).expect("validated settle target");
-            let ls = c.ladder.expect("validated ladder state");
-            (
-                c.memory,
-                c.idle_since,
-                c.layer().expect("idle container has a layer"),
-                c.language(),
-                ls.on_last_rung(),
-            )
-        };
-        self.record_waste(mem, idle_since, b, IdleOutcome::Miss);
-        if last {
-            self.pool.remove(id);
-            // `self.now` may already be past `b`; the policy must see
-            // the termination at the boundary the eager chain fired at.
-            let ctx = PolicyCtx {
-                now: b,
-                catalog: self.catalog,
-            };
-            self.policy.on_terminated(&ctx, id);
-            return;
+        let c = self.pool.get(id).expect("validated settle target");
+        if c.ladder.expect("validated ladder state").on_last_rung() {
+            self.end_idle(id, b);
+        } else {
+            self.downgrade_idle(id, b);
+            self.push_boundary(id);
         }
-        let new_mem = self.downgraded_footprint_parts(layer, language);
-        {
-            let mut c = self.pool.get_mut(id).expect("settle target exists");
-            c.settle_downgrade()
-                .expect("ladder downgrades only above Bare");
-            c.idle_since = b;
-            c.packed.clear();
-            let ls = c.ladder.as_mut().expect("validated ladder state");
-            ls.rung += 1;
-        }
-        self.pool.resize(id, new_mem);
-        self.push_boundary(id);
     }
 
     /// Registers the container's current-rung boundary in the
@@ -1217,37 +1199,27 @@ impl<'a> Engine<'a> {
     }
 
     fn handle_init_complete(&mut self, id: ContainerId, epoch: u64) {
-        let (target, init_for, language) = match self.pool.get(id) {
-            Some(c) if c.epoch == epoch => {
-                match c.state {
-                    rainbowcake_core::lifecycle::LifecycleState::Initializing {
-                        target, ..
-                    } => (target, c.init_for, c.init_language),
-                    _ => return, // stale
-                }
-            }
-            _ => return, // stale or gone
-        };
-        let owner = (target == Layer::User).then_some(init_for).flatten();
-        let lang_payload = (target >= Layer::Lang).then_some(language).flatten();
         // One guard: the container is linked, if it stays idle, with the
         // `idle_since` of this moment, which keeps its idle list in
-        // idle-entry order.
+        // idle-entry order. Every transition bumps the epoch, so an event
+        // whose epoch still matches finds the initialization it was armed
+        // for.
         let assigned = {
-            let mut c = self.pool.get_mut(id).expect("init target exists");
-            c.apply(LifecycleEvent::InitComplete {
-                language: lang_payload,
-                owner,
-            })
-            .expect("initialization completes into idle");
+            let mut c = match self.pool.get_mut(id) {
+                Some(c) if c.epoch == epoch => c,
+                _ => return, // stale or gone
+            };
+            c.apply(LifecycleEvent::InitComplete)
+                .expect("initialization completes into idle");
             c.idle_since = self.now;
-            if let Some(inv) = c.assigned {
+            if c.assigned.is_some() {
                 // An invocation is bound (cold start, partial warm start,
-                // or attach): begin execution immediately.
-                c.apply(LifecycleEvent::BeginExecution {
-                    function: inv.function,
-                })
-                .expect("initialized container can execute its invocation");
+                // or attach): begin execution immediately, for the
+                // function the container was initialized for and is now
+                // owned by.
+                let function = c.owner().expect("a bound initialization targets User");
+                c.apply(LifecycleEvent::BeginExecution { function })
+                    .expect("initialized container can execute its invocation");
             }
             c.assigned
         };
@@ -1263,17 +1235,18 @@ impl<'a> Engine<'a> {
     }
 
     fn handle_exec_complete(&mut self, id: ContainerId) {
-        let inv = {
+        let (function, inv) = {
             let mut c = self.pool.get_mut(id).expect("running container exists");
             let inv = c.assigned.take().expect("running container has invocation");
-            let lang = c.init_language.expect("running container has language");
-            c.finish_exec(lang).expect("running container completes");
+            c.apply(LifecycleEvent::ExecutionComplete)
+                .expect("running container completes");
             c.hits += 1;
             c.idle_since = self.now;
-            inv
+            // The function that ran now owns the idle container.
+            (c.owner().expect("completion leaves an owner"), inv)
         };
         self.metrics.record_invocation(InvocationRecord {
-            function: inv.function,
+            function,
             arrival: inv.arrival,
             queue: inv.admit.duration_since(inv.arrival),
             startup: inv.startup,
@@ -1330,17 +1303,13 @@ impl<'a> Engine<'a> {
                 self.terminate_container(id);
             }
             TimeoutDecision::Downgrade { ttl } => {
-                // The expired idle interval never got hit.
-                self.record_waste(view.memory, view.idle_since, self.now, IdleOutcome::Miss);
-                let new_mem = self.downgraded_footprint(&view);
-                {
-                    let mut c = self.pool.get_mut(id).expect("container exists");
-                    c.apply(LifecycleEvent::Downgrade)
-                        .expect("policy downgrades only above Bare");
-                    c.idle_since = self.now;
-                    c.packed.clear();
-                }
-                self.pool.resize(id, new_mem);
+                self.downgrade_idle(id, self.now);
+                // Unlike a ladder rung, the downgrade ends the timed idle
+                // period.
+                self.pool
+                    .get_mut(id)
+                    .expect("container exists")
+                    .bump_epoch();
                 self.schedule_timeout(id, ttl);
                 self.drain_pending();
             }
@@ -1968,6 +1937,72 @@ mod tests {
             eager.counts[wake],
             lazy.counts[wake]
         );
+    }
+
+    #[test]
+    fn packed_start_adopts_the_container_and_keeps_its_language() {
+        // Pagurus-style sharing: `f`'s idle container times out, packs
+        // `g`'s packages, and `g` starts in it, adopting it.
+        struct Repack {
+            ttl: Micros,
+            packs: FunctionId,
+            idle_views: Vec<ContainerView>,
+        }
+        impl Policy for Repack {
+            fn name(&self) -> &'static str {
+                "TestRepack"
+            }
+            fn reuse_scope(&self) -> ReuseScope {
+                ReuseScope::OwnedOrPacked
+            }
+            fn on_idle(&mut self, _: &PolicyCtx<'_>, c: &ContainerView) -> Micros {
+                self.idle_views.push(c.clone());
+                self.ttl
+            }
+            fn on_timeout(&mut self, _: &PolicyCtx<'_>, c: &ContainerView) -> TimeoutDecision {
+                if c.packed.is_empty() && c.owner != Some(self.packs) {
+                    TimeoutDecision::Repack {
+                        extra_functions: vec![self.packs],
+                        ttl: self.ttl,
+                    }
+                } else {
+                    TimeoutDecision::Terminate
+                }
+            }
+        }
+        let cat = catalog();
+        let (f, g) = (FunctionId::new(0), FunctionId::new(1));
+        let ttl = Micros::from_secs(60);
+        let mut p = Repack {
+            ttl,
+            packs: g,
+            idle_views: Vec::new(),
+        };
+        // No jitter, and nothing initializes when `g` arrives.
+        let report = run_trace(&cat, &mut p, &trace_of(&[(0, 0), (90, 1)], 300), &config());
+        assert_eq!(report.records.len(), 2);
+        let (first, packed) = (&report.records[0], &report.records[1]);
+        assert!(
+            first.completed_at() + ttl < packed.arrival,
+            "the repack precedes g's arrival"
+        );
+        assert_eq!(packed.function, g);
+        assert_eq!(packed.start_type, StartType::Packed);
+        assert_eq!(
+            packed.startup,
+            cat.profile(g).transitions.u_run + PACKED_SPECIALIZE
+        );
+        // After `g` ran, the container it adopted is idle at `User`, owned
+        // by `g`, with `f`'s language and no packed functions.
+        let [after_f, after_g] = &p.idle_views[..] else {
+            panic!("two idle entries, got {:?}", p.idle_views);
+        };
+        assert_eq!(after_g.id, after_f.id);
+        assert_eq!(after_f.owner, Some(f));
+        assert_eq!(after_g.layer, Layer::User);
+        assert_eq!(after_g.owner, Some(g));
+        assert_eq!(after_g.language, Some(cat.profile(f).language));
+        assert!(after_g.packed.is_empty());
     }
 
     /// Runs `p` on arrivals at the given microsecond timestamps (all of

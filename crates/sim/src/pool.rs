@@ -13,7 +13,10 @@
 //!
 //! The slab entry is the only copy of a container's state (DESIGN.md
 //! §9): per-container reads such as [`Pool::idle_since_of`] and
-//! [`Pool::view_of`] go to it directly.
+//! [`Pool::view_of`] go to it directly. Every list a container is on is
+//! derived from its lifecycle state: an idle list from the idle layer,
+//! language and owner, an attachable list from the initializing state's
+//! function.
 //!
 //! Besides the primary slab, the pool maintains a set of secondary
 //! indices (idle `User` containers per owner, idle containers per
@@ -164,23 +167,26 @@ struct IndexKey {
 
 impl IndexKey {
     fn of(c: &Container) -> IndexKey {
-        let idle = c.is_idle();
-        let layer = c.layer();
-        let list = if idle {
-            match layer {
-                Some(Layer::User) => c.owner().map(IdleList::User),
-                Some(Layer::Lang) => c.language().map(IdleList::Lang),
-                Some(Layer::Bare) => Some(IdleList::Bare),
-                None => None,
+        let list = match c.state {
+            LifecycleState::Idle {
+                layer,
+                language,
+                owner,
+            } => match layer {
+                Layer::User => owner.map(IdleList::User),
+                Layer::Lang => language.map(IdleList::Lang),
+                Layer::Bare => Some(IdleList::Bare),
             }
-            .map(List::Idle)
-        } else if c.is_attachable_init() && layer == Some(Layer::User) {
-            c.init_for.map(List::Attachable)
-        } else {
-            None
+            .map(List::Idle),
+            LifecycleState::Initializing {
+                target: Layer::User,
+                for_function,
+                ..
+            } if c.assigned.is_none() => Some(List::Attachable(for_function)),
+            _ => None,
         };
         IndexKey {
-            idle,
+            idle: c.is_idle(),
             list,
             initializing: matches!(c.state, LifecycleState::Initializing { .. }),
         }
@@ -254,7 +260,7 @@ impl Default for PoolIndex {
 /// packed set iff it is idle at the `User` layer — the only state in
 /// which the default `SharedPacked` reuse grant can apply.
 fn indexed_packed<'c>(key: &IndexKey, c: &'c Container) -> &'c [FunctionId] {
-    if key.idle && c.layer() == Some(Layer::User) {
+    if key.idle && c.layer() == Layer::User {
         &c.packed
     } else {
         &[]
@@ -684,8 +690,8 @@ impl Pool {
     ///
     /// # Panics
     ///
-    /// Panics if the slot is vacant or its container is terminated, and
-    /// in debug builds if the id is stale.
+    /// Panics if the slot is vacant, and in debug builds if the id is
+    /// stale.
     pub fn view_of(&self, id: ContainerId) -> ContainerView {
         self.by_slot(id).view()
     }
@@ -854,11 +860,7 @@ mod tests {
 
     fn idle_container(id: u64, mem: u64) -> Container {
         let mut c = container(id, mem);
-        c.apply(LifecycleEvent::InitComplete {
-            language: Some(Language::Python),
-            owner: Some(FunctionId::new(0)),
-        })
-        .unwrap();
+        c.apply(LifecycleEvent::InitComplete).unwrap();
         c
     }
 
@@ -991,11 +993,7 @@ mod tests {
         // ones without any explicit re-index call.
         {
             let mut c = p.get_mut(ContainerId::new(0)).unwrap();
-            c.apply(LifecycleEvent::InitComplete {
-                language: Some(Language::Python),
-                owner: Some(FunctionId::new(0)),
-            })
-            .unwrap();
+            c.apply(LifecycleEvent::InitComplete).unwrap();
         }
         assert_eq!(p.initializing_count(), 0);
         assert!(p.earliest_attachable_init(FunctionId::new(0)).is_none());
@@ -1055,7 +1053,7 @@ mod tests {
         assert_eq!(p.idle_packed_ids(f2).count(), 0);
         {
             let mut c = p.get_mut(ContainerId::new(0)).unwrap();
-            c.finish_exec(Language::Python).unwrap();
+            c.apply(LifecycleEvent::ExecutionComplete).unwrap();
         }
         assert_eq!(p.idle_packed_ids(f2).count(), 1);
         p.assert_coherent();
@@ -1115,7 +1113,6 @@ mod tests {
         {
             let mut c = p.get_mut(ContainerId::new(0)).unwrap();
             c.assigned = Some(AssignedInvocation {
-                function: FunctionId::new(0),
                 arrival: Instant::ZERO,
                 admit: Instant::ZERO,
                 startup: rainbowcake_core::time::Micros::ZERO,
@@ -1210,11 +1207,7 @@ mod tests {
                 MemMb::new(100),
                 Instant::from_micros(1),
             );
-            c.apply(LifecycleEvent::InitComplete {
-                language: Some(Language::Python),
-                owner: Some(FunctionId::new(0)),
-            })
-            .unwrap();
+            c.apply(LifecycleEvent::InitComplete).unwrap();
             p.insert(c);
         }
         let ids: Vec<u32> = p.idle_ids().map(|id| id.seq()).collect();

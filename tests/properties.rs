@@ -202,31 +202,39 @@ proptest! {
 
     #[test]
     fn lifecycle_never_reaches_inconsistent_states(
-        events in prop::collection::vec(0u8..6, 0..30),
+        start in 0usize..3,
+        events in prop::collection::vec((0u8..6, 0usize..3, 0u32..2), 0..30),
     ) {
-        let f = FunctionId::new(0);
-        let g = FunctionId::new(1);
-        let mut state = LifecycleState::new_initializing(Layer::User, f);
-        for e in events {
+        let layers = [Layer::Bare, Layer::Lang, Layer::User];
+        let languages = [Language::NodeJs, Language::Python, Language::Java];
+        let target = layers[start];
+        let mut state = LifecycleState::Initializing {
+            target,
+            for_function: FunctionId::new(0),
+            language: (target >= Layer::Lang).then_some(Language::Python),
+        };
+        for (e, k, f) in events {
+            let function = FunctionId::new(f);
             let event = match e {
-                0 => LifecycleEvent::InitComplete {
-                    language: Some(Language::Python),
-                    owner: Some(f),
-                },
-                1 => LifecycleEvent::BeginExecution { function: f },
-                2 => LifecycleEvent::Downgrade,
-                3 => LifecycleEvent::Terminate,
+                0 => LifecycleEvent::InitComplete,
+                1 => LifecycleEvent::BeginExecution { function },
+                2 => LifecycleEvent::ExecutionComplete,
+                3 => LifecycleEvent::Downgrade,
                 4 => LifecycleEvent::BeginUpgrade {
-                    for_function: g,
-                    target: Layer::User,
+                    for_function: function,
+                    target: layers[k],
+                    language: languages[k],
                 },
-                _ => LifecycleEvent::Adopt { function: g },
+                _ => LifecycleEvent::Adopt { function },
             };
             if let Ok(next) = state.transition(event) {
                 state = next;
             }
             // Invariants that must hold in every reachable state:
             match state {
+                LifecycleState::Initializing { target, language, .. } => {
+                    prop_assert_eq!(language.is_some(), target >= Layer::Lang);
+                }
                 LifecycleState::Idle { layer, language, owner } => {
                     if layer == Layer::Bare {
                         prop_assert!(language.is_none() && owner.is_none());
@@ -238,10 +246,19 @@ proptest! {
                         prop_assert!(language.is_some() && owner.is_some());
                     }
                 }
-                LifecycleState::Terminated => {
-                    prop_assert!(state.layer().is_none());
+                LifecycleState::Running { function, language } => {
+                    // A running container holds its language, and
+                    // completing hands it back idle to the function it ran.
+                    prop_assert_eq!(state.layer(), Layer::User);
+                    prop_assert_eq!(
+                        state.transition(LifecycleEvent::ExecutionComplete),
+                        Ok(LifecycleState::Idle {
+                            layer: Layer::User,
+                            language: Some(language),
+                            owner: Some(function),
+                        })
+                    );
                 }
-                _ => {}
             }
         }
     }
@@ -423,7 +440,7 @@ fn assert_pool_indices_match_scan(pool: &rainbowcake::sim::pool::Pool) {
     // The idle lists: per-function idle User containers, Lang-*layer*
     // containers per language and Bare-layer containers (the
     // Layered-scope candidate sets), with the availability check.
-    let idle_at = |layer: Layer| move |c: &&&Container| c.is_idle() && c.layer() == Some(layer);
+    let idle_at = |layer: Layer| move |c: &&&Container| c.is_idle() && c.layer() == layer;
     let mut lists: Vec<(IdleList, Vec<&Container>)> = Vec::new();
     for f in (0..4).map(FunctionId::new) {
         let members: Vec<_> = scan
@@ -481,12 +498,7 @@ fn assert_pool_indices_match_scan(pool: &rainbowcake::sim::pool::Pool) {
     // Initializing count (the contention model's concurrency input).
     let initializing = scan
         .iter()
-        .filter(|c| {
-            matches!(
-                c.state,
-                rainbowcake::core::lifecycle::LifecycleState::Initializing { .. }
-            )
-        })
+        .filter(|c| matches!(c.state, LifecycleState::Initializing { .. }))
         .count();
     assert_eq!(pool.initializing_count(), initializing);
 
@@ -495,7 +507,15 @@ fn assert_pool_indices_match_scan(pool: &rainbowcake::sim::pool::Pool) {
         let expect = scan
             .iter()
             .filter(|c| {
-                c.is_attachable_init() && c.layer() == Some(Layer::User) && c.init_for == Some(f)
+                c.is_attachable_init()
+                    && matches!(
+                        c.state,
+                        LifecycleState::Initializing {
+                            target: Layer::User,
+                            for_function,
+                            ..
+                        } if for_function == f
+                    )
             })
             .map(|c| (c.init_done_at, c.id))
             .min();
@@ -653,28 +673,35 @@ proptest! {
                 2 => {
                     if let Some(id) = nth_id(&pool, a) {
                         let mut c = pool.get_mut(id).unwrap();
-                        let owner = (c.layer() == Some(Layer::User))
-                            .then_some(c.init_for)
-                            .flatten();
-                        let language = c.init_language;
-                        if c.apply(LifecycleEvent::InitComplete { language, owner }).is_ok() {
+                        if c.apply(LifecycleEvent::InitComplete).is_ok() {
                             c.idle_since = now;
                         }
                     }
                 }
-                // Begin and finish executions, downgrade idle layers.
+                // Begin executions on idle User containers; upgrade an
+                // idle Lang or Bare container to User in place for a
+                // random function (an attachable init, until op 5).
                 3 => {
                     if let Some(id) = nth_id(&pool, a) {
                         let mut c = pool.get_mut(id).unwrap();
-                        let f = c.owner().or(c.init_for).unwrap_or(FunctionId::new(0));
-                        let _ = c.apply(LifecycleEvent::BeginExecution { function: f });
+                        let f = c.owner().unwrap_or(FunctionId::new((b % 4) as u32));
+                        if c.apply(LifecycleEvent::BeginExecution { function: f }).is_err() {
+                            let language = c.language().unwrap_or(languages[b as usize % 3]);
+                            let _ = c.apply(LifecycleEvent::BeginUpgrade {
+                                for_function: f,
+                                target: Layer::User,
+                                language,
+                            });
+                        }
                     }
                 }
+                // Finish executions, downgrade idle layers.
                 4 => {
                     if let Some(id) = nth_id(&pool, a) {
                         let mut c = pool.get_mut(id).unwrap();
-                        let lang = languages[b as usize % 3];
-                        if c.finish_exec(lang).is_ok() || c.apply(LifecycleEvent::Downgrade).is_ok() {
+                        if c.apply(LifecycleEvent::ExecutionComplete).is_ok()
+                            || c.apply(LifecycleEvent::Downgrade).is_ok()
+                        {
                             c.idle_since = now;
                         }
                     }
@@ -685,9 +712,7 @@ proptest! {
                     if let Some(id) = nth_id(&pool, a) {
                         let mut c = pool.get_mut(id).unwrap();
                         if c.is_attachable_init() {
-                            let f = c.init_for.unwrap_or(FunctionId::new(0));
                             c.assigned = Some(AssignedInvocation {
-                                function: f,
                                 arrival: now,
                                 admit: now,
                                 startup: Micros::ZERO,
