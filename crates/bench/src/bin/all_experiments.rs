@@ -4,7 +4,8 @@
 //! what EXPERIMENTS.md is generated from.
 
 use rainbowcake_bench::{
-    fn_avg_e2e_s, fn_avg_startup_ms, parallel, print_table, reduction_pct, Testbed, BASELINE_NAMES,
+    fn_avg_startup_ms, headline_rows, parallel, print_table, reduction_pct, Testbed,
+    BASELINE_NAMES, HEADLINE_COLUMNS,
 };
 use rainbowcake_core::mem::MemMb;
 use rainbowcake_core::rainbow::RainbowCake;
@@ -25,32 +26,7 @@ fn main() {
     let reports = bed.run_all();
     let rc = &reports[5];
     println!("-- headline per-policy results (drives Figs. 3/6/7/8) --");
-    let mut rows = Vec::new();
-    for r in &reports {
-        rows.push(vec![
-            r.policy.clone(),
-            format!("{:.0}", fn_avg_startup_ms(r)),
-            format!("{:.2}", fn_avg_e2e_s(r)),
-            format!("{:.1}", r.avg_startup().as_millis_f64()),
-            format!("{:.2}", r.e2e_percentile(99.0).unwrap().as_secs_f64()),
-            format!("{:.0}", r.total_startup().as_secs_f64()),
-            format!("{:.0}", r.total_waste().value()),
-            format!("{}", r.cold_starts()),
-        ]);
-    }
-    print_table(
-        &[
-            "policy",
-            "fn_avg_st_ms",
-            "fn_avg_e2e_s",
-            "inv_avg_st_ms",
-            "p99_e2e_s",
-            "total_st_s",
-            "waste_GBs",
-            "cold",
-        ],
-        &rows,
-    );
+    print_table(&HEADLINE_COLUMNS, &headline_rows(&reports));
 
     println!("\n-- RainbowCake reductions vs each baseline (paper values in brackets) --");
     let paper: [(&str, &str, &str); 5] = [

@@ -19,6 +19,6 @@ pub mod suite;
 
 pub use parallel::{run_jobs, run_jobs_on, run_policies, worker_threads};
 pub use suite::{
-    fn_avg_e2e_s, fn_avg_startup_ms, make_policy, print_table, reduction_pct, Testbed,
-    BASELINE_NAMES,
+    fn_avg_e2e_s, fn_avg_startup_ms, headline_rows, make_policy, print_table, reduction_pct,
+    render_table, Testbed, BASELINE_NAMES, HEADLINE_COLUMNS,
 };

@@ -136,8 +136,47 @@ pub fn reduction_pct(baseline: f64, ours: f64) -> f64 {
     (1.0 - ours / baseline) * 100.0
 }
 
-/// Prints a simple aligned table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+/// Column names of the headline per-policy table ([`headline_rows`]).
+pub const HEADLINE_COLUMNS: [&str; 8] = [
+    "policy",
+    "fn_avg_st_ms",
+    "fn_avg_e2e_s",
+    "inv_avg_st_ms",
+    "p99_e2e_s",
+    "total_st_s",
+    "waste_GBs",
+    "cold",
+];
+
+/// The headline per-policy table behind Figs. 3, 6, 7 and 8, one row
+/// per report, in [`HEADLINE_COLUMNS`] order. The reports must keep
+/// their records (no streaming metrics), which the p99 needs.
+pub fn headline_rows(reports: &[RunReport]) -> Vec<Vec<String>> {
+    reports
+        .iter()
+        .map(|r| {
+            vec![
+                r.policy.clone(),
+                format!("{:.0}", fn_avg_startup_ms(r)),
+                format!("{:.2}", fn_avg_e2e_s(r)),
+                format!("{:.1}", r.avg_startup().as_millis_f64()),
+                format!(
+                    "{:.2}",
+                    r.e2e_percentile(99.0)
+                        .expect("the headline reports keep their records")
+                        .as_secs_f64()
+                ),
+                format!("{:.0}", r.total_startup().as_secs_f64()),
+                format!("{:.0}", r.total_waste().value()),
+                format!("{}", r.cold_starts()),
+            ]
+        })
+        .collect()
+}
+
+/// Renders a simple aligned table: the header, a dashed rule and the
+/// rows, one newline-terminated line each.
+pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -146,18 +185,26 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
             }
         }
     }
-    let line = |cells: Vec<String>| {
+    let mut out = String::new();
+    let mut line = |cells: Vec<String>| {
         let mut s = String::new();
         for (i, c) in cells.iter().enumerate() {
             s.push_str(&format!("{:<w$}  ", c, w = widths[i]));
         }
-        println!("{}", s.trim_end());
+        out.push_str(s.trim_end());
+        out.push('\n');
     };
     line(headers.iter().map(|s| s.to_string()).collect());
     line(widths.iter().map(|w| "-".repeat(*w)).collect());
     for row in rows {
         line(row.clone());
     }
+    out
+}
+
+/// Prints a simple aligned table ([`render_table`]).
+pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+    print!("{}", render_table(headers, rows));
 }
 
 /// Mean of per-function average startup latencies in milliseconds — the
