@@ -10,6 +10,12 @@
 //! ```text
 //! overhead = base * (1 + CONTENTION_COEFF * concurrent / 1000) * (1 ± TRANSITION_JITTER)
 //! ```
+//!
+//! [`transition_overhead`] is the only place a transition draws from the
+//! engine's RNG: one draw per call with jitter on, none with it off. The
+//! engine calls it once per transition an option crosses, when it
+//! prices that placement option, and once per transition a pre-warm
+//! crosses.
 
 use rand::Rng;
 
@@ -34,25 +40,12 @@ pub fn transition_overhead<R: Rng + ?Sized>(
     jitter: bool,
     rng: &mut R,
 ) -> Micros {
-    scaled_overhead(base, concurrent, transition_noise(jitter, rng))
-}
-
-/// The multiplicative deviation of one transition overhead: uniform
-/// within [`TRANSITION_JITTER`] of 1 and drawn from `rng` if `jitter` is
-/// set, exactly 1 (and `rng` untouched) otherwise.
-pub(crate) fn transition_noise<R: Rng + ?Sized>(jitter: bool, rng: &mut R) -> f64 {
-    if jitter {
+    let contention = 1.0 + CONTENTION_COEFF * concurrent as f64 / 1000.0;
+    let noise = if jitter {
         1.0 + rng.random_range(-TRANSITION_JITTER..TRANSITION_JITTER)
     } else {
         1.0
-    }
-}
-
-/// `base` inflated for `concurrent` initializations and scaled by a
-/// drawn `noise`: [`transition_overhead`] once its draw is made, so a
-/// caller may draw now and compute the overhead later, or never.
-pub(crate) fn scaled_overhead(base: Micros, concurrent: usize, noise: f64) -> Micros {
-    let contention = 1.0 + CONTENTION_COEFF * concurrent as f64 / 1000.0;
+    };
     base.mul_f64(contention * noise)
 }
 
@@ -89,20 +82,6 @@ mod tests {
             let hi = base.mul_f64(1.3 * 1.15);
             assert!(o >= lo && o <= hi, "{o}");
         }
-    }
-
-    #[test]
-    fn drawing_first_and_scaling_later_is_the_same_overhead() {
-        let (mut a, mut b) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
-        let base = Micros::from_millis(7);
-        for concurrent in [0, 1, 250, 999] {
-            let noise = transition_noise(true, &mut b);
-            assert_eq!(
-                transition_overhead(base, concurrent, true, &mut a),
-                scaled_overhead(base, concurrent, noise)
-            );
-        }
-        assert_eq!(transition_noise(false, &mut b), 1.0);
     }
 
     #[test]
