@@ -1,14 +1,14 @@
-//! Criterion bench: the cost of a compound-rate query on the active-member
-//! scan against the naive oracle, at the paper catalog's 20 functions and
-//! at 1000 (the size of simbench's `rc-wide` workload).
+//! Criterion bench: the cost of the sharing-set IATs an idle transition
+//! reads, on the bracketed pass against the naive oracle, at the paper
+//! catalog's 20 functions and at 1000 (the size of simbench's `rc-wide`
+//! workload).
 //!
 //! * `function` — one function's fitted rate (a ladder's `User` rung);
-//! * `sharing_rates` — the fused `Lang` + `Global` pass one idle
-//!   transition makes;
-//! * `lang`, `global` — one compound scope through `rate`;
+//! * `sharing_iats` — the `Lang` and `Bare` IATs from one bracketed
+//!   pass ([`HistoryRecorder::sharing_iats`]);
 //! * `uncached_lang`, `uncached_global` — the naive
-//!   O(functions-in-scope) oracle ([`HistoryRecorder::rate_uncached`])
-//!   the scan must match bit-for-bit.
+//!   O(functions-in-scope) sums ([`HistoryRecorder::rate_uncached`])
+//!   whose IATs the pass must match exactly.
 //!
 //! `now` advances every iteration, as it does between real queries.
 
@@ -23,7 +23,7 @@ fn warmed_recorder(n: usize) -> (HistoryRecorder, u64) {
     let catalog = synthetic_catalog(n);
     let mut rec = HistoryRecorder::new(&catalog, 6).unwrap();
     // Eight arrivals per function: every member is active (>= 2
-    // windowed arrivals), so scans do maximal work.
+    // windowed arrivals), so passes do maximal work.
     for i in 0..(n as u64 * 8) {
         rec.record_arrival(
             FunctionId::new((i % n as u64) as u32),
@@ -35,6 +35,8 @@ fn warmed_recorder(n: usize) -> (HistoryRecorder, u64) {
 
 fn bench_history_rate(c: &mut Criterion) {
     let mut group = c.benchmark_group("history_rate");
+    // -ln(1 - 0.8), RainbowCake's default quantile.
+    let numerator = -(0.2f64).ln();
     for &n in &[20usize, 1000] {
         let (mut rec, mut tick) = warmed_recorder(n);
         let lang = ShareScope::Language(Language::Python);
@@ -46,14 +48,8 @@ fn bench_history_rate(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("function", n), &n, |b, _| {
             b.iter(|| black_box(rec.function_rate(black_box(FunctionId::new(3)), next())))
         });
-        group.bench_with_input(BenchmarkId::new("sharing_rates", n), &n, |b, _| {
-            b.iter(|| black_box(rec.sharing_rates(black_box(Language::Python), next())))
-        });
-        group.bench_with_input(BenchmarkId::new("lang", n), &n, |b, _| {
-            b.iter(|| black_box(rec.rate(black_box(lang), next())))
-        });
-        group.bench_with_input(BenchmarkId::new("global", n), &n, |b, _| {
-            b.iter(|| black_box(rec.rate(black_box(ShareScope::Global), next())))
+        group.bench_with_input(BenchmarkId::new("sharing_iats", n), &n, |b, _| {
+            b.iter(|| black_box(rec.sharing_iats(black_box(Language::Python), next(), numerator)))
         });
         group.bench_with_input(BenchmarkId::new("uncached_lang", n), &n, |b, _| {
             b.iter(|| black_box(rec.rate_uncached(black_box(lang), next())))

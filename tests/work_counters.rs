@@ -12,7 +12,7 @@
 //! dispatched per kind, the placement attempts with the idle-list
 //! entries they read as reuse candidates and the options they priced,
 //! the event queue's pushes, cascade moves and deferred re-arms, and the
-//! history recorder's queries, scans and terms.
+//! history recorder's queries, scans, terms and rescans.
 //! Unlike wall-clock throughput these counts are identical on every
 //! host, so a change that moves a layer's work shows up here as a
 //! reviewed diff of the fixture: on a mismatch the test prints the
@@ -74,6 +74,7 @@ fn counter_lines(
         ("history.queries".to_string(), history.queries),
         ("history.scans".to_string(), history.scans),
         ("history.terms".to_string(), history.terms_computed),
+        ("history.rescans".to_string(), history.rescans),
     ]);
     counters
         .into_iter()
