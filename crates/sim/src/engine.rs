@@ -610,10 +610,11 @@ impl<'a> Engine<'a> {
         // classes straight from the pool's per-function and per-layer
         // indices — no views are built and `reuse_class` is never
         // called. The idle lists are in idle-entry order, so a list's
-        // winner is read at its head (`Pool::warmest`); the packed index
-        // and the views are offered to `consider`, which compares keys
-        // explicitly. Either way the per-class winners match the full
-        // `ReuseScope::All` scan over the same grants.
+        // winner is read at its head (`Pool::warmest`), and the packed
+        // index is in `consider`'s order, so its winner is the first
+        // entry granted; the views are offered to `consider`, which
+        // compares keys explicitly. Either way the per-class winners
+        // match the full `ReuseScope::All` scan over the same grants.
         let mut best: [Option<(ContainerId, Instant)>; 5] = [None; 5];
         {
             let ctx = self.ctx();
@@ -639,22 +640,17 @@ impl<'a> Engine<'a> {
                 ReuseScope::OwnedOrPacked => {
                     best[class_rank(ReuseClass::WarmUser) as usize] =
                         warmest(pool, IdleList::User(f), read);
-                    for id in pool.idle_packed_ids(f) {
+                    // The packed index is in `consider`'s order, so the
+                    // first entry `f` does not own wins. The owner check
+                    // takes precedence in the default `reuse_class`: a
+                    // container both owned by and packed with `f` is
+                    // WarmUser only, never SharedPacked.
+                    let packed = pool.idle_packed_ids(f).find(|&id| {
                         *read += 1;
-                        // The owner check takes precedence in the
-                        // default `reuse_class`: a container both owned
-                        // by and packed with `f` is WarmUser only, never
-                        // SharedPacked.
-                        if pool.owner_of(id) == Some(f) {
-                            continue;
-                        }
-                        consider(
-                            &mut best,
-                            ReuseClass::SharedPacked,
-                            id,
-                            pool.idle_since_of(id),
-                        );
-                    }
+                        pool.owner_of(id) != Some(f)
+                    });
+                    best[class_rank(ReuseClass::SharedPacked) as usize] =
+                        packed.map(|id| (id, pool.idle_since_of(id)));
                 }
                 ReuseScope::Layered { user, lang, bare } => {
                     best[class_rank(user) as usize] = warmest(pool, IdleList::User(f), read);
@@ -1362,9 +1358,9 @@ fn warmest(pool: &Pool, list: IdleList, read: &mut u64) -> Option<(ContainerId, 
 /// Offers a candidate to the best-per-class table. Within each class
 /// the winner is the most recently idle container, ties broken by the
 /// lowest id: an explicit comparison, so the winner does not depend on
-/// the order candidates are offered in. It serves the candidates that
-/// come in id order (the packed index, the views of `ReuseScope::All`);
-/// `Pool::warmest` applies the same rule to an idle list.
+/// the order candidates are offered in. It serves the views of
+/// `ReuseScope::All`, which come in id order; `Pool::warmest` applies
+/// the same rule to an idle list, and the packed index is kept in it.
 fn consider(
     best: &mut [Option<(ContainerId, Instant)>; 5],
     class: ReuseClass,

@@ -45,6 +45,7 @@
 //! entries when it is dropped, and re-links it at the head when its
 //! `idle_since` was re-stamped.
 
+use std::cmp::Reverse;
 use std::ops::{Deref, DerefMut};
 
 use rainbowcake_core::lifecycle::LifecycleState;
@@ -55,37 +56,44 @@ use rainbowcake_core::types::{ContainerId, FunctionId, Language, Layer};
 
 use crate::container::Container;
 
-/// A sorted vector of container ids (creation order, because id order
-/// *is* creation order). Inserts append when ids arrive in order — the
-/// common case, since fresh containers always carry the largest id —
-/// and fall back to a binary-search shift otherwise. It backs only the
-/// `live` set and the packed index; neither changes on the idle↔busy
+/// A sorted vector of keys. Inserts append when keys arrive in order —
+/// the common case: fresh containers carry the largest id, and
+/// containers go idle at the latest `idle_since` — and fall back to a
+/// binary-search shift otherwise. It backs the `live` set (keyed by id:
+/// creation order, because id order *is* creation order) and the packed
+/// index (keyed by [`PackedKey`]); neither changes on the idle↔busy
 /// round trip.
-#[derive(Debug, Default, Clone)]
-struct IdSet(Vec<ContainerId>);
+#[derive(Debug, Clone)]
+struct SortedSet<K>(Vec<K>);
 
-impl IdSet {
+impl<K> Default for SortedSet<K> {
+    fn default() -> Self {
+        SortedSet(Vec::new())
+    }
+}
+
+impl<K: Ord + Copy> SortedSet<K> {
     #[inline]
-    fn insert(&mut self, id: ContainerId) {
+    fn insert(&mut self, key: K) {
         match self.0.last() {
-            Some(&last) if last < id => self.0.push(id),
-            None => self.0.push(id),
+            Some(&last) if last < key => self.0.push(key),
+            None => self.0.push(key),
             _ => {
-                if let Err(pos) = self.0.binary_search(&id) {
-                    self.0.insert(pos, id);
+                if let Err(pos) = self.0.binary_search(&key) {
+                    self.0.insert(pos, key);
                 }
             }
         }
     }
 
     #[inline]
-    fn remove(&mut self, id: ContainerId) {
-        if let Ok(pos) = self.0.binary_search(&id) {
+    fn remove(&mut self, key: K) {
+        if let Ok(pos) = self.0.binary_search(&key) {
             self.0.remove(pos);
         }
     }
 
-    fn iter(&self) -> impl Iterator<Item = ContainerId> + '_ {
+    fn iter(&self) -> impl DoubleEndedIterator<Item = K> + '_ {
         self.0.iter().copied()
     }
 
@@ -97,10 +105,21 @@ impl IdSet {
         self.0.is_empty()
     }
 
-    fn contains(&self, id: ContainerId) -> bool {
-        self.0.binary_search(&id).is_ok()
+    fn contains(&self, key: K) -> bool {
+        self.0.binary_search(&key).is_ok()
+    }
+
+    fn is_strictly_sorted(&self) -> bool {
+        self.0.windows(2).all(|w| w[0] < w[1])
     }
 }
+
+/// A packed-index entry's key: ascending keys run from the least
+/// recently idle to the most recently idle container, the highest id
+/// first among equal `idle_since`, so the index read from its end is
+/// most recently idle first, lowest id first — the order `consider`
+/// picks by.
+type PackedKey = (Instant, Reverse<ContainerId>);
 
 /// A dense per-function table, grown on demand (function ids are small
 /// catalog indices).
@@ -233,11 +252,12 @@ struct PoolIndex {
     idle_bare_head: u32,
     /// Heads of the attachable-initialization lists, per function.
     attachable_heads: Vec<u32>,
-    /// Idle `User` containers per packed function, in id order. Together
-    /// with the idle `User` lists this covers every container the
-    /// default owned-or-packed reuse rule can match, so arrivals under
-    /// that rule never need to scan the whole idle set.
-    idle_packed_by_fn: FnTable<IdSet>,
+    /// Idle `User` containers per packed function, keyed by idle entry
+    /// ([`PackedKey`]). Together with the idle `User` lists this covers
+    /// every container the default owned-or-packed reuse rule can
+    /// match, so arrivals under that rule never need to scan the whole
+    /// idle set.
+    idle_packed_by_fn: FnTable<SortedSet<PackedKey>>,
     /// Containers currently in the `Initializing` state.
     initializing: usize,
 }
@@ -320,24 +340,24 @@ impl PoolIndex {
         }
     }
 
-    fn link(&mut self, id: ContainerId, key: &IndexKey, packed: &[FunctionId]) {
+    fn link(&mut self, id: ContainerId, key: &IndexKey, packed: &[FunctionId], since: Instant) {
         if let Some(list) = key.list {
             self.push_front(list, id.slot() as u32);
         }
         for &f in packed {
-            self.idle_packed_by_fn.entry(f).insert(id);
+            self.idle_packed_by_fn.entry(f).insert((since, Reverse(id)));
         }
         if key.initializing {
             self.initializing += 1;
         }
     }
 
-    fn unlink(&mut self, id: ContainerId, key: &IndexKey, packed: &[FunctionId]) {
+    fn unlink(&mut self, id: ContainerId, key: &IndexKey, packed: &[FunctionId], since: Instant) {
         if let Some(list) = key.list {
             self.remove_from(list, id.slot() as u32);
         }
         for &f in packed {
-            self.idle_packed_by_fn.entry(f).remove(id);
+            self.idle_packed_by_fn.entry(f).remove((since, Reverse(id)));
         }
         if key.initializing {
             self.initializing -= 1;
@@ -378,8 +398,9 @@ pub struct ContainerMut<'p> {
     /// Empty in every state but an idle `User` container with a packed
     /// set, so the clone is allocation-free on the hot path.
     old_packed: Vec<FunctionId>,
-    /// `idle_since` at guard creation: a listed container re-stamped
-    /// in place moves to its list's head.
+    /// `idle_since` at guard creation: a listed or packed-indexed
+    /// container re-stamped in place moves to its list's head and to
+    /// its packed entries' new positions.
     old_idle_since: Instant,
 }
 
@@ -400,11 +421,14 @@ impl Drop for ContainerMut<'_> {
     fn drop(&mut self) {
         let new_key = IndexKey::of(self.container);
         let new_packed = indexed_packed(&new_key, self.container);
-        let restamped = new_key.list.is_some() && self.container.idle_since != self.old_idle_since;
+        let since = self.container.idle_since;
+        let restamped =
+            (new_key.list.is_some() || !new_packed.is_empty()) && since != self.old_idle_since;
         if new_key != self.old_key || self.old_packed != new_packed || restamped {
+            let id = self.container.id;
             self.index
-                .unlink(self.container.id, &self.old_key, &self.old_packed);
-            self.index.link(self.container.id, &new_key, new_packed);
+                .unlink(id, &self.old_key, &self.old_packed, self.old_idle_since);
+            self.index.link(id, &new_key, new_packed, since);
         }
     }
 }
@@ -424,7 +448,7 @@ pub struct Pool {
     /// Vacated slots available for reuse (LIFO).
     free: Vec<u32>,
     /// Ids of live containers, in creation order.
-    live: IdSet,
+    live: SortedSet<ContainerId>,
     /// Next creation sequence number.
     next_seq: u32,
     /// Lowest never-used slot.
@@ -440,7 +464,7 @@ impl Pool {
             used: MemMb::ZERO,
             slots: Vec::new(),
             free: Vec::new(),
-            live: IdSet::default(),
+            live: SortedSet::default(),
             next_seq: 0,
             next_slot: 0,
             index: PoolIndex::default(),
@@ -504,7 +528,9 @@ impl Pool {
         self.next_slot = self.next_slot.max(slot as u32 + 1);
         self.next_seq = self.next_seq.max(id.seq() + 1);
         let key = IndexKey::of(&container);
-        self.index.link(id, &key, indexed_packed(&key, &container));
+        let since = container.idle_since;
+        self.index
+            .link(id, &key, indexed_packed(&key, &container), since);
         self.slots[slot] = Some(container);
         self.live.insert(id);
     }
@@ -523,7 +549,8 @@ impl Pool {
                 self.free.push(slot as u32);
                 self.live.remove(id);
                 let key = IndexKey::of(&c);
-                self.index.unlink(id, &key, indexed_packed(&key, &c));
+                self.index
+                    .unlink(id, &key, indexed_packed(&key, &c), c.idle_since);
                 self.used -= c.memory;
                 c
             }
@@ -663,16 +690,18 @@ impl Pool {
         Some((best, run))
     }
 
-    /// Ids of idle `User` containers whose packed set includes `f`, in
-    /// id order (index-backed). Overlaps `idle_user_ids(f)` only for a
-    /// container both owned by and packed with `f`; callers visiting
-    /// both must tolerate the repeat.
+    /// Ids of idle `User` containers whose packed set includes `f`
+    /// (index-backed), most recently idle first and lowest id first
+    /// among equal `idle_since`: the first one a caller accepts is the
+    /// warmest. Overlaps `idle_user_ids(f)` only for a container both
+    /// owned by and packed with `f`; callers visiting both must
+    /// tolerate the repeat.
     pub fn idle_packed_ids(&self, f: FunctionId) -> impl Iterator<Item = ContainerId> + '_ {
         self.index
             .idle_packed_by_fn
             .get(f)
             .into_iter()
-            .flat_map(|set| set.iter())
+            .flat_map(|set| set.iter().rev().map(|(_, Reverse(id))| id))
     }
 
     /// The idle-interval start of a live container.
@@ -738,7 +767,9 @@ impl Pool {
     ///   mutual, and no list holds a vacant or busy slot;
     /// * every idle list is in idle-entry order: `idle_since` never
     ///   rises from the head on;
-    /// * the packed index and the initializing count match the slab.
+    /// * the packed index and the initializing count match the slab,
+    ///   and each packed set is keyed by its members' current
+    ///   `idle_since`, in key order.
     ///
     /// The pool unit tests and the index proptest call this after every
     /// operation, and debug builds of the engine call it every 4,096
@@ -750,10 +781,7 @@ impl Pool {
     pub fn assert_coherent(&self) {
         let occupied = self.slots.iter().flatten().count();
         assert_eq!(self.live.len(), occupied, "live set size");
-        assert!(
-            self.live.0.windows(2).all(|w| w[0] < w[1]),
-            "live set out of id order"
-        );
+        assert!(self.live.is_strictly_sorted(), "live set out of id order");
         assert!(
             self.live.iter().all(|id| self.get(id).is_some()),
             "live set names a vacant slot"
@@ -779,7 +807,7 @@ impl Pool {
                     self.index
                         .idle_packed_by_fn
                         .get(f)
-                        .is_some_and(|set| set.contains(c.id)),
+                        .is_some_and(|set| set.contains((c.idle_since, Reverse(c.id)))),
                     "{} missing from the packed index of {f}",
                     c.id
                 );
@@ -789,7 +817,11 @@ impl Pool {
         assert_eq!(self.index.initializing, initializing, "initializing count");
         for (i, set) in self.index.idle_packed_by_fn.0.iter().enumerate() {
             let f = FunctionId::new(i as u32);
-            for id in set.iter() {
+            assert!(
+                set.is_strictly_sorted(),
+                "packed index of {f} out of key order"
+            );
+            for (_, Reverse(id)) in set.iter() {
                 let c = self.get(id).expect("packed index names a live container");
                 assert!(
                     indexed_packed(&IndexKey::of(c), c).contains(&f),
@@ -1268,5 +1300,31 @@ mod tests {
         assert_eq!(order, vec![1, 2]);
         let (c, run) = p.warmest(list).unwrap();
         assert_eq!((c.id.seq(), run), (1, 1));
+    }
+
+    #[test]
+    fn packed_index_runs_most_recently_idle_first_lowest_id_first() {
+        // Containers packing function 5 go idle at 10, 20, 20 µs, linked
+        // in either order; a re-stamp (a repack of the same set) moves
+        // the oldest to the front.
+        let f = FunctionId::new(5);
+        let packed = |seq, since| {
+            let mut c = idle_at(seq, since);
+            c.packed = vec![f];
+            c
+        };
+        let order = |p: &Pool| p.idle_packed_ids(f).map(|id| id.seq()).collect::<Vec<_>>();
+        for tied in [[2, 3], [3, 2]] {
+            let mut p = Pool::new(MemMb::new(1_000));
+            p.insert(packed(1, 10));
+            for seq in tied {
+                p.insert(packed(seq, 20));
+            }
+            p.assert_coherent();
+            assert_eq!(order(&p), vec![2, 3, 1], "link order {tied:?}");
+            p.get_mut(ContainerId::from_parts(1, 1)).unwrap().idle_since = Instant::from_micros(30);
+            p.assert_coherent();
+            assert_eq!(order(&p), vec![1, 2, 3], "link order {tied:?}");
+        }
     }
 }
